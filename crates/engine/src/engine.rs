@@ -239,13 +239,6 @@ impl<E: 'static> Engine<E> {
         id
     }
 
-    /// The address the next [`Self::add_component`] call will return.
-    /// Lets wiring code hand a component the ids of peers that are
-    /// registered right after it.
-    pub fn next_component_id(&self) -> ComponentId {
-        ComponentId(self.components.len())
-    }
-
     /// Appends `n` vacant registry slots.
     ///
     /// A shard of a partitioned simulation registers only its own
@@ -515,7 +508,6 @@ mod tests {
 
         let mut engine = Engine::new(0);
         let spawner = engine.add_component(Spawner);
-        assert_eq!(engine.next_component_id(), ComponentId(1));
         engine.schedule(SimTime::ZERO, spawner, 7);
         engine.schedule(SimTime::from_ns(2.0), spawner, 9);
         engine.run_until_idle();

@@ -153,9 +153,9 @@ pub(crate) enum ChipEvent {
         /// same chunking the analytic-mode energy refinement uses).
         chunk: usize,
     },
-    /// The request source's self-tick: one open-loop request arrives
-    /// at the event time (the source forwards it to the buffer and
-    /// schedules its next arrival).
+    /// The request source's self-tick, at the instant of the arrival
+    /// it last scheduled: the source schedules the next arrival and,
+    /// behind it, its next tick.
     Arrival,
     /// One inference request lands in the request buffer; the event
     /// time is its arrival instant.

@@ -70,10 +70,32 @@ impl TrafficSpec {
     /// # Errors
     ///
     /// [`SimError::InvalidServing`] when a replayed trace is unsorted
-    /// or carries a negative/non-finite arrival.
+    /// or carries a negative/non-finite arrival, or when a synthetic
+    /// model has a negative or NaN rate or a non-positive dwell mean.
     pub fn arrivals(&self) -> Result<Vec<f64>, SimError> {
         match self {
             TrafficSpec::Synthetic { model, seed, requests } => {
+                let (rates, dwells) = match *model {
+                    TrafficModel::Poisson { rate_per_s } => (vec![rate_per_s], vec![]),
+                    TrafficModel::Mmpp {
+                        calm_rate_per_s,
+                        burst_rate_per_s,
+                        mean_calm_s,
+                        mean_burst_s,
+                    } => (vec![calm_rate_per_s, burst_rate_per_s], vec![mean_calm_s, mean_burst_s]),
+                };
+                if let Some(rate) = rates.into_iter().find(|rate| rate.is_nan() || *rate < 0.0) {
+                    return Err(SimError::InvalidServing(format!(
+                        "arrival rate {rate}/s is not a non-negative number"
+                    )));
+                }
+                if let Some(dwell) =
+                    dwells.into_iter().find(|dwell| dwell.is_nan() || *dwell <= 0.0)
+                {
+                    return Err(SimError::InvalidServing(format!(
+                        "MMPP dwell mean {dwell} s is not positive"
+                    )));
+                }
                 Ok(RequestTrace::synthesize(*model, *seed, *requests).arrivals_ns)
             }
             TrafficSpec::Trace(trace) => {
@@ -186,6 +208,34 @@ impl ServingConfig {
     pub fn with_slo_ns(mut self, slo_ns: f64) -> Self {
         self.slo_ns = Some(slo_ns);
         self
+    }
+
+    /// Rejects settings no run can honour: an empty queue, batch or
+    /// in-flight limit, a deadline that is negative or not finite, and
+    /// an SLO that is not a positive number. The traffic is checked
+    /// when it resolves ([`TrafficSpec::arrivals`]).
+    pub(crate) fn validate(&self) -> Result<(), SimError> {
+        let invalid = |reason: String| Err(SimError::InvalidServing(reason));
+        if self.queue_capacity == 0 {
+            return invalid("queue capacity must admit at least one request".into());
+        }
+        if self.max_inflight == 0 {
+            return invalid("at least one round must be allowed in flight".into());
+        }
+        if self.policy.max_batch() == 0 {
+            return invalid("batches must hold at least one request".into());
+        }
+        if let BatchPolicy::Deadline { timeout_ns, .. } = self.policy {
+            if !timeout_ns.is_finite() || timeout_ns < 0.0 {
+                return invalid(format!("deadline {timeout_ns} ns is not a finite wait"));
+            }
+        }
+        if let Some(slo) = self.slo_ns {
+            if slo.is_nan() || slo <= 0.0 {
+                return invalid(format!("SLO {slo} ns is not a positive latency"));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -307,48 +357,39 @@ pub fn percentiles(sample: &mut [f64], qs: &[f64]) -> Vec<f64> {
 /// reports stay byte-identical.
 pub const ADMISSION_LATENCY_NS: f64 = 1.0 / 4096.0;
 
-/// The default [`RequestSource`] chunk: how many arrivals are
-/// pre-scheduled per self-tick. Large enough that per-request source
-/// overhead vanishes, small enough that the engine queue never holds
-/// more than a bounded slab of far-future arrivals.
-pub(crate) const ARRIVAL_CHUNK: usize = 512;
-
-/// The open-loop request source: pre-schedules its arrival schedule as
-/// [`ChipEvent::NewRequest`]s a chunk at a time (one self-tick per
-/// `chunk` arrivals instead of one per arrival), then a terminal
+/// The open-loop request source: schedules its arrival schedule one
+/// [`ChipEvent::NewRequest`] at a time, each with a self-tick at the
+/// same instant that schedules the next, then a terminal
 /// [`ChipEvent::SourceDrained`] at the last arrival's instant. The
 /// schedule is fixed at construction — arrivals never react to the
-/// system (open loop) — and chunking only batches event scheduling:
-/// every `NewRequest` still fires at its exact arrival instant, in
-/// arrival order.
+/// system (open loop).
 pub(crate) struct RequestSource {
     arrivals_ns: Vec<f64>,
     next: usize,
-    chunk: usize,
     buffer: ComponentId,
 }
 
 impl RequestSource {
-    pub(crate) fn new(arrivals_ns: Vec<f64>, buffer: ComponentId, chunk: usize) -> Self {
-        Self { arrivals_ns, next: 0, chunk: chunk.max(1), buffer }
+    pub(crate) fn new(arrivals_ns: Vec<f64>, buffer: ComponentId) -> Self {
+        Self { arrivals_ns, next: 0, buffer }
     }
 
-    /// Schedules the next chunk of arrivals, then either a resume tick
-    /// at the chunk's last instant (every remaining arrival is at or
-    /// past it, so the next chunk schedules forward from there) or —
-    /// once the schedule is exhausted — the drain marker, after the
-    /// final `NewRequest` at the same instant.
+    /// Schedules the next arrival and, behind it at the same instant,
+    /// either the tick that schedules the one after or — once the
+    /// schedule is exhausted — the drain marker. An empty schedule
+    /// drains at once.
     fn advance(&mut self, me: ComponentId, ctx: &mut EngineCtx<'_, ChipEvent>) {
-        let end = (self.next + self.chunk).min(self.arrivals_ns.len());
-        for &at in &self.arrivals_ns[self.next..end] {
-            ctx.schedule(SimTime::from_ns(at), self.buffer, ChipEvent::NewRequest);
-        }
-        self.next = end;
-        if end == self.arrivals_ns.len() {
-            let at = self.arrivals_ns.last().map_or(ctx.now(), |&ns| SimTime::from_ns(ns));
+        let Some(&at) = self.arrivals_ns.get(self.next) else {
+            ctx.schedule(ctx.now(), self.buffer, ChipEvent::SourceDrained);
+            return;
+        };
+        let at = SimTime::from_ns(at);
+        self.next += 1;
+        ctx.schedule(at, self.buffer, ChipEvent::NewRequest);
+        if self.next == self.arrivals_ns.len() {
             ctx.schedule(at, self.buffer, ChipEvent::SourceDrained);
         } else {
-            ctx.schedule(SimTime::from_ns(self.arrivals_ns[end - 1]), me, ChipEvent::Arrival);
+            ctx.schedule(at, me, ChipEvent::Arrival);
         }
     }
 }
@@ -397,7 +438,7 @@ pub(crate) struct BufferCore {
     queue_capacity: usize,
     max_inflight: usize,
     /// Active chip indices, in admission fan-out order.
-    chips: Vec<usize>,
+    pub(crate) chips: Vec<usize>,
     /// Rounds each active chip has completed, parallel to `chips`.
     completed: Vec<usize>,
     /// Arrival instants of queued requests, oldest first.
@@ -582,9 +623,11 @@ pub(crate) struct RequestBuffer {
 }
 
 impl RequestBuffer {
-    pub(crate) fn new(config: &ServingConfig, active: Vec<(usize, ComponentId)>) -> Self {
-        let (chips, sequencers) = active.into_iter().unzip();
-        Self { core: BufferCore::new(config, chips), sequencers }
+    /// Wires `core` to its active chips' sequencers, `sequencers`
+    /// indexed by chip.
+    pub(crate) fn new(core: BufferCore, sequencers: &[ComponentId]) -> Self {
+        let sequencers = core.chips.iter().map(|&c| sequencers[c]).collect();
+        Self { core, sequencers }
     }
 }
 

@@ -85,26 +85,11 @@ impl ChipSimulator {
         self
     }
 
-    /// Sets the closed-loop address-interleave granularity in bytes.
-    pub fn with_dram_interleave(mut self, bytes: usize) -> Self {
-        self.system = self.system.with_dram_interleave(bytes);
-        self
-    }
-
     /// Allows the closed-loop controllers to reorder same-instant
     /// in-flight accesses from independent cores FR-FCFS style (off by
     /// default; see [`SystemSimulator::with_dram_reorder`]).
     pub fn with_dram_reorder(mut self, enabled: bool) -> Self {
         self.system = self.system.with_dram_reorder(enabled);
-        self
-    }
-
-    /// Pre-sizes the event queue for a known workload (a hint only;
-    /// see [`SystemSimulator::with_event_capacity`]). Without it,
-    /// [`Self::run`] and [`Self::run_batches`] derive a pre-size from
-    /// the programs' peak concurrent cores.
-    pub fn with_event_capacity(mut self, events: usize) -> Self {
-        self.system = self.system.with_event_capacity(events);
         self
     }
 

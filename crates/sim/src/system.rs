@@ -1,10 +1,10 @@
 //! The multi-chip system simulator.
 //!
-//! A system is several chips instantiated as component sets on **one**
-//! discrete-event engine, joined by an [`InterconnectComponent`] that
-//! carries inter-chip hand-offs hop-by-hop over the topology's links —
-//! with per-link serialization and queueing, so concurrent transfers
-//! contend instead of seeing a flat latency.
+//! A system is several chips instantiated as component sets, joined by
+//! an [`InterconnectComponent`] that carries inter-chip hand-offs
+//! hop-by-hop over the topology's links — with per-link serialization
+//! and queueing, so concurrent transfers contend instead of seeing a
+//! flat latency.
 //!
 //! Each chip is driven by a [`ChipSequencer`]: a ready-set dispatcher
 //! over the chip's stage dependency graph ([`crate::stage::StageGraph`]).
@@ -24,6 +24,24 @@
 //! producer. Topology slots may override the system's base
 //! [`ChipSpec`] for heterogeneous systems.
 //!
+//! Every run registers the same global component layout
+//! ([`SystemLayout`]): per chip `[dram?, rendezvous, channel, bus]`,
+//! then the interconnect, one sequencer per chip, and — for serving
+//! runs — the request buffer and the request source. Two things vary
+//! around it:
+//!
+//! * **The round source.** [`SystemSimulator::run`] builds a fixed
+//!   round count into every stage graph up front.
+//!   [`SystemSimulator::run_serving`] starts the graphs empty: the
+//!   request source schedules its arrivals one at a time, and the
+//!   request buffer appends one round per admitted batch.
+//! * **The executor.** One engine hosts every slot, or — with the
+//!   `sharded` feature — one engine thread per chip hosts only its
+//!   chip's slots and pads the rest, so every component keeps its
+//!   global id. The interconnect and the serving frontend then live on
+//!   the shard boundary ([`ShardBoundary`]). Both executors fold to
+//!   byte-identical reports.
+//!
 //! The single-chip [`crate::ChipSimulator`] is a thin wrapper over
 //! this machinery with a [`Topology::single`] system; its analytic
 //! reports stay byte-identical to the golden fixtures.
@@ -38,7 +56,7 @@ use crate::report::{
 };
 use crate::serve::{
     percentiles, BufferCore, RequestBuffer, RequestRecord, RequestSource, ServingConfig,
-    ServingReport, ARRIVAL_CHUNK,
+    ServingReport,
 };
 #[cfg(feature = "sharded")]
 use crate::serve::{AdmissionSink, ADMISSION_LATENCY_NS};
@@ -56,9 +74,9 @@ use std::collections::BinaryHeap;
 #[cfg(feature = "sharded")]
 use pim_engine::RemoteEvent;
 
-/// Default closed-loop address-interleave granularity: two LPDDR3 rows
-/// per stripe keeps sequential streams row-friendly while still
-/// spreading blocks across channels.
+/// Closed-loop address-interleave granularity: two LPDDR3 rows per
+/// stripe keeps sequential streams row-friendly while still spreading
+/// blocks across channels.
 pub(crate) const DEFAULT_INTERLEAVE_BYTES: usize = 4096;
 
 /// One per-round boundary transfer a chip ships downstream after its
@@ -137,14 +155,7 @@ pub struct SystemSimulator {
     mode: TimingMode,
     schedule: ScheduleMode,
     dram_channels: Option<usize>,
-    interleave_bytes: usize,
     dram_reorder: bool,
-    /// Explicit event-queue pre-size hint; `None` derives one from the
-    /// workload.
-    event_capacity: Option<usize>,
-    /// Serving-path arrival pre-generation chunk; `None` uses the
-    /// default [`ARRIVAL_CHUNK`].
-    arrival_chunk: Option<usize>,
     #[cfg(feature = "reference-queue")]
     reference_queue: bool,
     #[cfg(feature = "sharded")]
@@ -163,10 +174,7 @@ impl SystemSimulator {
             mode: TimingMode::Analytic,
             schedule: ScheduleMode::Barrier,
             dram_channels: None,
-            interleave_bytes: DEFAULT_INTERLEAVE_BYTES,
             dram_reorder: false,
-            event_capacity: None,
-            arrival_chunk: None,
             #[cfg(feature = "reference-queue")]
             reference_queue: false,
             #[cfg(feature = "sharded")]
@@ -235,12 +243,6 @@ impl SystemSimulator {
         self
     }
 
-    /// Sets the closed-loop address-interleave granularity in bytes.
-    pub fn with_dram_interleave(mut self, bytes: usize) -> Self {
-        self.interleave_bytes = bytes.max(1);
-        self
-    }
-
     /// Allows the closed-loop controllers to reorder same-instant
     /// in-flight accesses from independent cores FR-FCFS style
     /// (row-buffer hits first). Off by default: arrival-order service
@@ -248,31 +250,6 @@ impl SystemSimulator {
     pub fn with_dram_reorder(mut self, enabled: bool) -> Self {
         self.dram_reorder = enabled;
         self
-    }
-
-    /// Pre-sizes the event queue for a known workload. A hint only —
-    /// the queue grows past it transparently; the default derives a
-    /// size from the loads at `run` time. Sharded runs split an
-    /// explicit hint evenly across the shards.
-    pub fn with_event_capacity(mut self, events: usize) -> Self {
-        self.event_capacity = Some(events);
-        self
-    }
-
-    /// Sets how many arrivals the serving request source pre-schedules
-    /// per engine visit (clamped to at least one). A measurement knob:
-    /// request timing is byte-identical for every chunk size — `1`
-    /// reproduces the legacy one-event-per-arrival pacing, the default
-    /// amortizes the per-arrival scheduling cost — so benchmarks can
-    /// isolate the chunking win honestly.
-    pub fn with_arrival_chunk(mut self, chunk: usize) -> Self {
-        self.arrival_chunk = Some(chunk.max(1));
-        self
-    }
-
-    /// The serving arrival pre-generation chunk in effect.
-    fn arrival_chunk(&self) -> usize {
-        self.arrival_chunk.unwrap_or(ARRIVAL_CHUNK).max(1)
     }
 
     /// The spec chip `c` runs: its slot override, or the system's base
@@ -292,6 +269,12 @@ impl SystemSimulator {
         self.dram_channels.unwrap_or_else(|| {
             DramConfig::lpddr3_1600().channels_for_bandwidth(chip.memory.bandwidth_gbps)
         })
+    }
+
+    /// Whether every chip carries a DRAM component: always in
+    /// closed-loop mode, and in analytic mode when replay is on.
+    fn has_dram(&self) -> bool {
+        self.mode == TimingMode::ClosedLoop || self.replay_dram
     }
 
     fn validate(&self, loads: &[ChipLoad<'_>]) -> Result<(), SimError> {
@@ -392,14 +375,83 @@ impl SystemSimulator {
     ) -> Result<SimReport, SimError> {
         self.validate(loads)?;
         let rounds = rounds.max(1);
+        self.simulate(loads, rounds, None, |outcome| {
+            self.fold_report(loads, rounds, samples_per_round, outcome)
+        })
+    }
+
+    /// Runs an *open-loop serving* workload: instead of a fixed round
+    /// count, a [`crate::TrafficSpec`]-driven request source feeds a
+    /// [`crate::BatchPolicy`]-governed request buffer, and every
+    /// admitted batch appends one pipeline round to the live system.
+    /// The returned report carries the usual sections plus
+    /// [`SimReport::serving`] — per-request timelines, nearest-rank
+    /// p50/p99/p999 latency, queueing delay, goodput and drops — and
+    /// `batch` reflects the requests actually served.
+    ///
+    /// Serving runs are deterministic per traffic seed on *either*
+    /// executor. When sharding is requested and honoured, the
+    /// admission frontend (source + buffer) moves onto the shard
+    /// boundary: the arrival stream's next-arrival lower bound —
+    /// advanced by the [`crate::ADMISSION_LATENCY_NS`] admission delay
+    /// — joins the in-flight transfer tails as a horizon term, admitted
+    /// rounds ship to the shards as ordered remote events, and the
+    /// report is byte-identical to the single-threaded oracle. The
+    /// fallback reasons (single chip, zero-latency link) are exactly
+    /// [`Self::run`]'s, recorded in [`SimReport::engine`] and noted
+    /// once per process.
+    ///
+    /// # Errors
+    ///
+    /// Everything [`SystemSimulator::run`] returns, plus
+    /// [`SimError::InvalidServing`] for malformed traffic (unsorted or
+    /// negative trace arrivals, negative or NaN rates, non-positive
+    /// dwell means), a zero queue capacity, batch size or in-flight
+    /// limit, a negative or non-finite deadline, an SLO that is not a
+    /// positive number, or a system with no active chip to serve on.
+    pub fn run_serving(
+        &self,
+        loads: &[ChipLoad<'_>],
+        serving: &ServingConfig,
+    ) -> Result<SimReport, SimError> {
+        self.validate(loads)?;
+        serving.validate()?;
+        let arrivals = serving.traffic.arrivals()?;
+        let active: Vec<usize> =
+            (0..loads.len()).filter(|&c| !loads[c].programs.is_empty()).collect();
+        if active.is_empty() {
+            return Err(SimError::InvalidServing(
+                "every chip is idle; nothing can serve the request stream".into(),
+            ));
+        }
+        let frontend = Frontend { core: BufferCore::new(serving, active), arrivals };
+        self.simulate(loads, 0, Some(frontend), |mut outcome| {
+            let core = outcome.frontend.take().expect("serving runs keep their frontend");
+            self.fold_serving_report(loads, serving, core, outcome)
+        })
+    }
+
+    /// Runs the system layout on the executor in effect — one engine
+    /// thread per chip when sharding is requested and honoured, one
+    /// engine otherwise — and hands the outcome to `fold`. `rounds`
+    /// rounds are built in up front; a `frontend` appends the rest as
+    /// it admits batches.
+    fn simulate<R>(
+        &self,
+        loads: &[ChipLoad<'_>],
+        rounds: usize,
+        frontend: Option<Frontend>,
+        fold: impl FnOnce(RunOutcome) -> R,
+    ) -> R {
+        let layout = SystemLayout::new(loads.len(), self.has_dram(), frontend.is_some());
         #[cfg(feature = "sharded")]
         if self.sharded {
             match self.shard_fallback_reason(loads) {
-                None => return self.run_sharded(loads, rounds, samples_per_round),
+                None => return fold(self.run_sharded(loads, &layout, rounds, frontend)),
                 Some(reason) => note_shard_fallback(reason),
             }
         }
-        self.run_single(loads, rounds, samples_per_round)
+        self.run_single(loads, &layout, rounds, frontend, fold)
     }
 
     /// Why a sharding request cannot be honoured for this system, if
@@ -430,83 +482,118 @@ impl SystemSimulator {
         }
     }
 
-    /// The event-queue pre-size for a whole-system engine: the
-    /// explicit [`with_event_capacity`](Self::with_event_capacity)
-    /// hint, or a derivation from *peak pending* events — each live
-    /// component (a core of an in-flight stage, the shared
-    /// channel/bus/rendezvous/DRAM per chip, the interconnect) keeps
-    /// only a bounded handful of events in flight, so peak occupancy
+    /// The event-queue pre-size for an engine hosting the `hosted`
+    /// chips, and the serving frontend when `frontend` is set. It is
+    /// derived from *peak pending* events: each live component (a core
+    /// of an in-flight stage, the shared channel/bus/rendezvous/DRAM
+    /// per chip, the interconnect) keeps only a bounded handful of
+    /// events in flight, and the frontend holds one pending arrival,
+    /// its drain marker and the admission fan-out. So peak occupancy
     /// scales with concurrent components — not with instructions ×
-    /// rounds, which measures throughput. A hint only; the queue
-    /// grows past it transparently.
-    fn event_capacity_for(&self, loads: &[ChipLoad<'_>]) -> usize {
-        self.event_capacity.unwrap_or_else(|| {
-            let stage_cores: usize = loads.iter().map(|l| self.stage_cores_of(l)).sum();
-            ((stage_cores + 8 * loads.len()) * 8).clamp(256, 1 << 16)
-        })
+    /// rounds, which measures throughput. A hint only; the queue grows
+    /// past it transparently.
+    fn event_capacity(&self, hosted: &[ChipLoad<'_>], frontend: bool) -> usize {
+        let stage_cores: usize = hosted.iter().map(|l| self.stage_cores_of(l)).sum();
+        let frontend = usize::from(frontend) * (2 + 2 * hosted.len());
+        ((stage_cores + 8 * hosted.len()) * 8 + frontend).clamp(256, 1 << 16)
     }
 
-    /// The serving-path pre-size: the steady-state derivation of
-    /// [`Self::event_capacity_for`] plus the frontend's own peak —
-    /// one pre-scheduled chunk of arrivals and the admission fan-out.
-    /// `requests` is the *realized* arrival count, i.e. the traffic
-    /// spec's mean rate × duration already sampled, so short traces
-    /// never over-reserve.
-    fn serving_event_capacity(&self, loads: &[ChipLoad<'_>], requests: usize) -> usize {
-        self.event_capacity.unwrap_or_else(|| {
-            let stage_cores: usize = loads.iter().map(|l| self.stage_cores_of(l)).sum();
-            let steady = (stage_cores + 8 * loads.len()) * 8;
-            let frontend = requests.min(self.arrival_chunk()) + 2 * loads.len();
-            (steady + frontend).clamp(256, 1 << 16)
-        })
-    }
-
-    /// One shard's slice of the pre-size: an explicit hint is split
-    /// evenly across chips; the derived default counts only the
-    /// shard's own stage cores and shared components.
-    #[cfg(feature = "sharded")]
-    fn shard_event_capacity(&self, load: &ChipLoad<'_>, chips: usize) -> usize {
-        self.event_capacity
-            .map(|cap| (cap / chips).max(256))
-            .unwrap_or_else(|| ((self.stage_cores_of(load) + 8) * 8).clamp(256, 1 << 16))
-    }
-
-    /// Registers chip `c`'s shared components in the canonical order —
-    /// `[dram?, rendezvous, channel, bus]` — and returns their
-    /// addresses. The single-threaded engine and every shard use this
-    /// same layout, so global component ids are identical across
-    /// execution modes.
-    fn register_chip(&self, engine: &mut Engine<ChipEvent>, c: usize) -> ChipParts {
-        let chip = self.chip_for(c);
-        let dram = match self.mode {
-            TimingMode::Analytic => {
-                self.replay_dram.then(|| engine.add_component(InlineDram::new()))
-            }
-            TimingMode::ClosedLoop => Some(engine.add_component(ClosedLoopDram::new(
-                self.dram_channel_count_for(chip),
-                self.interleave_bytes,
-                self.dram_reorder,
-            ))),
+    /// Builds one engine of a run: its queue pre-sized for what it
+    /// hosts, every slot of `layout` filled in id order — registered
+    /// when `host` owns it, padded otherwise — and the opening kicks of
+    /// its sequencers and request source. This is the only place
+    /// components are registered, for both executors and both round
+    /// sources.
+    fn build_engine(
+        &self,
+        loads: &[ChipLoad<'_>],
+        layout: &SystemLayout,
+        rounds: usize,
+        host: Host,
+    ) -> Engine<ChipEvent> {
+        let (hosted, frontend, shard): (_, _, Option<usize>) = match host {
+            Host::Whole(frontend) => (loads, frontend, None),
+            #[cfg(feature = "sharded")]
+            Host::Shard(c) => (std::slice::from_ref(&loads[c]), None, Some(c)),
         };
-        let rendezvous = engine.add_component(Rendezvous::default());
-        let channel = engine.add_component(MemChannel::new(chip, dram, self.mode));
-        let bus = engine.add_component(BusComponent::new(chip, rendezvous));
-        ChipParts { dram, channel, bus, rendezvous }
+        let owns = |c: usize| shard.is_none_or(|own| own == c);
+        let serves = frontend.is_some();
+        let mut engine: Engine<ChipEvent> = Engine::new(0);
+        #[cfg(feature = "reference-queue")]
+        if self.reference_queue {
+            engine.use_reference_queue();
+        }
+        engine.reserve_events(self.event_capacity(hosted, serves));
+        if shard.is_some() {
+            // Events for vacant slots export to the shard boundary.
+            engine.enable_exports();
+        }
+        for (c, parts) in layout.chips.iter().enumerate() {
+            let (chip, mine) = (self.chip_for(c), owns(c));
+            if let Some(id) = parts.dram {
+                match self.mode {
+                    TimingMode::Analytic => place(&mut engine, id, mine.then(InlineDram::new)),
+                    TimingMode::ClosedLoop => place(
+                        &mut engine,
+                        id,
+                        mine.then(|| {
+                            ClosedLoopDram::new(
+                                self.dram_channel_count_for(chip),
+                                DEFAULT_INTERLEAVE_BYTES,
+                                self.dram_reorder,
+                            )
+                        }),
+                    ),
+                }
+            }
+            place(&mut engine, parts.rendezvous, mine.then(Rendezvous::default));
+            place(
+                &mut engine,
+                parts.channel,
+                mine.then(|| MemChannel::new(chip, parts.dram, self.mode)),
+            );
+            place(&mut engine, parts.bus, mine.then(|| BusComponent::new(chip, parts.rendezvous)));
+        }
+        let interconnect =
+            shard.is_none().then(|| InterconnectComponent::new(&self.topology, &layout.sequencers));
+        place(&mut engine, layout.interconnect, interconnect);
+        for (c, &id) in layout.sequencers.iter().enumerate() {
+            place(&mut engine, id, owns(c).then(|| self.sequencer_for(c, loads, rounds, layout)));
+        }
+        if let (Some(buffer), Some(source)) = (layout.buffer, layout.source) {
+            let (core, arrivals) = frontend.map(|f| (f.core, f.arrivals)).unzip();
+            place(
+                &mut engine,
+                buffer,
+                core.map(|core| RequestBuffer::new(core, &layout.sequencers)),
+            );
+            place(&mut engine, source, arrivals.map(|a| RequestSource::new(a, buffer)));
+        }
+        for (c, &id) in layout.sequencers.iter().enumerate() {
+            if owns(c) {
+                engine.schedule(SimTime::ZERO, id, ChipEvent::Kick);
+            }
+        }
+        if let Some(source) = layout.source.filter(|_| serves) {
+            engine.schedule(SimTime::ZERO, source, ChipEvent::Kick);
+        }
+        engine
     }
 
     /// Builds chip `c`'s sequencer over its stage graph and per-source
     /// hand-off ledger: batch b's head stage carries one external
     /// dependency per upstream producer, so a fast producer can never
-    /// stand in for a slow one.
+    /// stand in for a slow one. Serving runs start it with zero rounds
+    /// and have it report every drained round to the request buffer.
     fn sequencer_for(
         &self,
         c: usize,
         loads: &[ChipLoad<'_>],
         rounds: usize,
-        parts: &ChipParts,
-        interconnect: ComponentId,
+        layout: &SystemLayout,
     ) -> ChipSequencer {
         let load = &loads[c];
+        let parts = &layout.chips[c];
         let upstream: Vec<(usize, usize)> = loads
             .iter()
             .enumerate()
@@ -522,12 +609,12 @@ impl SystemSimulator {
             channel: parts.channel,
             bus: parts.bus,
             rendezvous: parts.rendezvous,
-            interconnect,
+            interconnect: layout.interconnect,
             handoffs: load.handoffs.clone(),
             upstream,
             rounds,
             schedule: self.schedule,
-            notify: None,
+            notify: layout.buffer,
             graph,
             running: (0..nodes).map(|_| None).collect(),
             wait_from: vec![None; rounds],
@@ -536,213 +623,82 @@ impl SystemSimulator {
         }
     }
 
-    /// The classic path: every chip on one engine, one event loop.
-    fn run_single(
+    /// The single-threaded executor: every slot of the layout on one
+    /// engine, one event loop — the byte-identity oracle the sharded
+    /// executor is tested against.
+    ///
+    /// `fold` runs while the engine is still alive. The engine holds
+    /// every core the run spawned (hundreds of MB after a long serving
+    /// run), and dropping it before the fold changes which memory the
+    /// report reuses: measured on a 2-thread x86-64 Linux host, a
+    /// resnet18 compile right after a 4,096-request serving call then
+    /// took about 4x longer (0.3 → 1.3 ms).
+    fn run_single<R>(
         &self,
         loads: &[ChipLoad<'_>],
+        layout: &SystemLayout,
         rounds: usize,
-        samples_per_round: usize,
-    ) -> Result<SimReport, SimError> {
-        let chips = loads.len();
-        let mut engine: Engine<ChipEvent> = Engine::new(0);
-        #[cfg(feature = "reference-queue")]
-        if self.reference_queue {
-            engine.use_reference_queue();
-        }
-        engine.reserve_events(self.event_capacity_for(loads));
-        let parts: Vec<ChipParts> =
-            (0..chips).map(|c| self.register_chip(&mut engine, c)).collect();
-
-        // The interconnect is registered before the sequencers, so the
-        // sequencer addresses it must deliver to are the next `chips`
-        // ids after its own.
-        let interconnect_id = engine.next_component_id();
-        let sequencer_ids: Vec<ComponentId> =
-            (0..chips).map(|c| ComponentId(interconnect_id.0 + 1 + c)).collect();
-        let interconnect =
-            engine.add_component(InterconnectComponent::new(&self.topology, &sequencer_ids));
-        assert_eq!(interconnect, interconnect_id);
-        for c in 0..chips {
-            let id = engine.add_component(self.sequencer_for(
-                c,
-                loads,
-                rounds,
-                &parts[c],
-                interconnect_id,
-            ));
-            assert_eq!(id, sequencer_ids[c]);
-        }
-        for &id in &sequencer_ids {
-            engine.schedule(SimTime::ZERO, id, ChipEvent::Kick);
-        }
+        frontend: Option<Frontend>,
+        fold: impl FnOnce(RunOutcome) -> R,
+    ) -> R {
+        let mut engine = self.build_engine(loads, layout, rounds, Host::Whole(frontend));
         engine.run_until_idle();
-
-        let outcomes: Vec<ChipOutcome> = (0..chips)
-            .map(|c| self.chip_outcome(&mut engine, &parts[c], sequencer_ids[c]))
-            .collect();
-        let links = (!self.topology.is_single()).then(|| {
-            let ic: InterconnectComponent =
-                engine.extract(interconnect_id).expect("interconnect survives the run");
-            ic.stats
+        let frontend = layout.buffer.map(|id| {
+            let buffer: RequestBuffer =
+                engine.extract(id).expect("request buffer survives the run");
+            buffer.core
         });
-        let mut report = self.fold_report(loads, rounds, samples_per_round, outcomes, links)?;
-        report.engine = Some(EngineMode::SingleThread);
-        Ok(report)
+        let interconnect: InterconnectComponent =
+            engine.extract(layout.interconnect).expect("interconnect survives the run");
+        fold(RunOutcome {
+            chips: (0..loads.len()).map(|c| self.chip_outcome(&mut engine, layout, c)).collect(),
+            links: interconnect.stats,
+            frontend,
+            engine: EngineMode::SingleThread,
+        })
     }
 
-    /// Runs an *open-loop serving* workload: instead of a fixed round
-    /// count, a [`crate::TrafficSpec`]-driven request source feeds a
-    /// [`crate::BatchPolicy`]-governed request buffer, and every
-    /// admitted batch appends one pipeline round to the live system.
-    /// The returned report carries the usual sections plus
-    /// [`SimReport::serving`] — per-request timelines, nearest-rank
-    /// p50/p99/p999 latency, queueing delay, goodput and drops — and
-    /// `batch` reflects the requests actually served.
-    ///
-    /// Serving runs are deterministic per traffic seed on *either*
-    /// engine. When sharding is requested and honoured, the admission
-    /// frontend (source + buffer) moves onto the shard boundary: the
-    /// arrival stream's next-arrival lower bound — advanced by the
-    /// [`crate::ADMISSION_LATENCY_NS`] admission delay — joins the
-    /// in-flight transfer tails as a horizon term, admitted rounds
-    /// ship to the shards as ordered remote events, and the report is
-    /// byte-identical to the single-threaded oracle. The fallback
-    /// reasons (single chip, zero-latency link) are exactly
-    /// [`Self::run`]'s, recorded in [`SimReport::engine`] and noted
-    /// once per process.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`SystemSimulator::run`] returns, plus
-    /// [`SimError::InvalidServing`] for malformed traces, a zero
-    /// queue capacity or in-flight limit, or a system with no active
-    /// chip to serve on.
-    pub fn run_serving(
+    /// The sharded executor: one engine thread per chip, synchronized
+    /// through the [`ShardBoundary`] with dynamic per-chip lookahead
+    /// derived from the declared hand-off graph, each route's
+    /// serialization + propagation, the tails of in-flight transfers
+    /// and — for serving runs — the rounds the frontend could still
+    /// admit. Component ids, event times, link accounting and
+    /// admissions reproduce the single engine exactly, so the folded
+    /// report is byte-identical.
+    #[cfg(feature = "sharded")]
+    fn run_sharded(
         &self,
         loads: &[ChipLoad<'_>],
-        serving: &ServingConfig,
-    ) -> Result<SimReport, SimError> {
-        self.validate(loads)?;
-        if serving.queue_capacity == 0 {
-            return Err(SimError::InvalidServing(
-                "queue capacity must admit at least one request".into(),
-            ));
-        }
-        if serving.max_inflight == 0 {
-            return Err(SimError::InvalidServing(
-                "at least one round must be allowed in flight".into(),
-            ));
-        }
-        match serving.policy {
-            crate::BatchPolicy::MaxSize(0) | crate::BatchPolicy::Deadline { max_size: 0, .. } => {
-                return Err(SimError::InvalidServing(
-                    "batches must hold at least one request".into(),
-                ))
-            }
-            _ => {}
-        }
-        let arrivals = serving.traffic.arrivals()?;
-        if loads.iter().all(|l| l.programs.is_empty()) {
-            return Err(SimError::InvalidServing(
-                "every chip is idle; nothing can serve the request stream".into(),
-            ));
-        }
-        #[cfg(feature = "sharded")]
-        if self.sharded {
-            match self.shard_fallback_reason(loads) {
-                None => return self.run_serving_sharded(loads, serving, arrivals),
-                Some(reason) => note_shard_fallback(reason),
-            }
-        }
-        self.run_serving_single(loads, serving, arrivals)
-    }
-
-    /// The single-threaded serving path: the whole system plus the
-    /// request source and buffer on one engine — the byte-identity
-    /// oracle the sharded path is tested against.
-    fn run_serving_single(
-        &self,
-        loads: &[ChipLoad<'_>],
-        serving: &ServingConfig,
-        arrivals: Vec<f64>,
-    ) -> Result<SimReport, SimError> {
-        let chips = loads.len();
-        let mut engine: Engine<ChipEvent> = Engine::new(0);
-        #[cfg(feature = "reference-queue")]
-        if self.reference_queue {
-            engine.use_reference_queue();
-        }
-        engine.reserve_events(self.serving_event_capacity(loads, arrivals.len()));
-        let parts: Vec<ChipParts> =
-            (0..chips).map(|c| self.register_chip(&mut engine, c)).collect();
-        let interconnect_id = engine.next_component_id();
-        let sequencer_ids: Vec<ComponentId> =
-            (0..chips).map(|c| ComponentId(interconnect_id.0 + 1 + c)).collect();
-        let interconnect =
-            engine.add_component(InterconnectComponent::new(&self.topology, &sequencer_ids));
-        assert_eq!(interconnect, interconnect_id);
-        // The frontend components follow the sequencers: buffer, then
-        // source.
-        let buffer_id = ComponentId(interconnect_id.0 + 1 + chips);
-        let source_id = ComponentId(buffer_id.0 + 1);
-        for c in 0..chips {
-            // Sequencers start with zero rounds; the buffer appends
-            // one per admitted batch.
-            let mut sequencer = self.sequencer_for(c, loads, 0, &parts[c], interconnect_id);
-            if !loads[c].programs.is_empty() {
-                sequencer.notify = Some(buffer_id);
-            }
-            let id = engine.add_component(sequencer);
-            assert_eq!(id, sequencer_ids[c]);
-        }
-        let active: Vec<(usize, ComponentId)> = (0..chips)
-            .filter(|&c| !loads[c].programs.is_empty())
-            .map(|c| (c, sequencer_ids[c]))
+        layout: &SystemLayout,
+        rounds: usize,
+        frontend: Option<Frontend>,
+    ) -> RunOutcome {
+        let mut boundary = ShardBoundary::new(&self.topology, loads, layout, frontend);
+        let shards: Vec<_> = (0..loads.len())
+            .map(|c| {
+                move |session: pim_engine::ShardSession<ChipEvent>| -> ChipOutcome {
+                    let mut engine = self.build_engine(loads, layout, rounds, Host::Shard(c));
+                    session.drive(&mut engine);
+                    self.chip_outcome(&mut engine, layout, c)
+                }
+            })
             .collect();
-        let id = engine.add_component(RequestBuffer::new(serving, active));
-        assert_eq!(id, buffer_id);
-        let id =
-            engine.add_component(RequestSource::new(arrivals, buffer_id, self.arrival_chunk()));
-        assert_eq!(id, source_id);
-        for &id in &sequencer_ids {
-            engine.schedule(SimTime::ZERO, id, ChipEvent::Kick);
-        }
-        engine.schedule(SimTime::ZERO, source_id, ChipEvent::Kick);
-        engine.run_until_idle();
-
-        let buffer: RequestBuffer =
-            engine.extract(buffer_id).expect("request buffer survives the run");
-        let outcomes: Vec<ChipOutcome> = (0..chips)
-            .map(|c| self.chip_outcome(&mut engine, &parts[c], sequencer_ids[c]))
-            .collect();
-        let links = (!self.topology.is_single()).then(|| {
-            let ic: InterconnectComponent =
-                engine.extract(interconnect_id).expect("interconnect survives the run");
-            ic.stats
-        });
-        self.fold_serving_report(
-            loads,
-            serving,
-            buffer.core,
-            outcomes,
-            links,
-            EngineMode::SingleThread,
-        )
+        let chips = pim_engine::run_sharded(shards, &mut boundary);
+        let (links, frontend) = boundary.into_parts();
+        RunOutcome { chips, links, frontend, engine: EngineMode::Sharded { shards: loads.len() } }
     }
 
     /// Folds a finished serving run — the frontend's admission ledger
-    /// plus the per-chip outcomes — into the final report. Shared by
-    /// the single-threaded and sharded paths: identical ledgers and
-    /// outcomes fold to identical bytes, whatever engine produced
-    /// them.
+    /// plus the per-chip outcomes — into the final report. Identical
+    /// ledgers and outcomes fold to identical bytes, whatever executor
+    /// produced them.
     fn fold_serving_report(
         &self,
         loads: &[ChipLoad<'_>],
         serving: &ServingConfig,
         core: BufferCore,
-        outcomes: Vec<ChipOutcome>,
-        links: Option<Vec<LinkStats>>,
-        engine: EngineMode,
+        outcome: RunOutcome,
     ) -> Result<SimReport, SimError> {
         // Round spans — folded from the stage records *before*
         // fold_report consumes the outcomes. A round starts when its
@@ -750,13 +706,13 @@ impl SystemSimulator {
         // drains on the slowest chip.
         let mut round_start = vec![f64::INFINITY; core.formed];
         let mut round_finish = vec![0.0f64; core.formed];
-        for outcome in &outcomes {
-            for record in &outcome.sequencer.records {
+        for chip in &outcome.chips {
+            for record in &chip.sequencer.records {
                 round_start[record.round] = round_start[record.round].min(record.start_ns);
                 round_finish[record.round] = round_finish[record.round].max(record.end_ns);
             }
         }
-        let mut report = self.fold_report(loads, core.formed.max(1), 1, outcomes, links)?;
+        let mut report = self.fold_report(loads, core.formed.max(1), 1, outcome)?;
 
         let records: Vec<RequestRecord> = core
             .admitted
@@ -798,22 +754,22 @@ impl SystemSimulator {
             slo_violations,
             records,
         });
-        report.engine = Some(engine);
         Ok(report)
     }
 
-    /// Extracts everything the report fold needs about one chip from
+    /// Extracts everything the report fold needs about chip `c` from
     /// its (drained or stalled) engine — the hand-off from simulation
     /// to accounting, engine-free so sharded workers can produce it
     /// on their own threads.
     fn chip_outcome(
         &self,
         engine: &mut Engine<ChipEvent>,
-        parts: &ChipParts,
-        sequencer: ComponentId,
+        layout: &SystemLayout,
+        c: usize,
     ) -> ChipOutcome {
+        let parts = &layout.chips[c];
         let sequencer: ChipSequencer =
-            engine.extract(sequencer).expect("sequencer survives the run");
+            engine.extract(layout.sequencers[c]).expect("sequencer survives the run");
         let mut stalled_cores = Vec::new();
         if !sequencer.graph.all_complete() {
             for stage in sequencer.running.iter().flatten() {
@@ -841,17 +797,17 @@ impl SystemSimulator {
         ChipOutcome { sequencer, channel, rendezvous, inline_dram, closed_dram, stalled_cores }
     }
 
-    /// Folds per-chip outcomes into one [`SimReport`]. Shared by the
-    /// single-threaded and sharded paths: identical outcomes fold to
+    /// Folds a run's per-chip outcomes into one [`SimReport`], stamped
+    /// with the executor that ran it. Identical outcomes fold to
     /// identical bytes.
     fn fold_report(
         &self,
         loads: &[ChipLoad<'_>],
         rounds: usize,
         samples_per_round: usize,
-        mut outcomes: Vec<ChipOutcome>,
-        links: Option<Vec<LinkStats>>,
+        outcome: RunOutcome,
     ) -> Result<SimReport, SimError> {
+        let RunOutcome { chips: mut outcomes, links, engine, .. } = outcome;
         let chips = loads.len();
         if outcomes.iter().any(|o| !o.sequencer.graph.all_complete()) {
             return Err(deadlock_of(&outcomes));
@@ -924,7 +880,7 @@ impl SystemSimulator {
                     "interleaved stages must retire their rendezvous tag buckets"
                 );
             }
-            if self.replay_dram || self.mode == TimingMode::ClosedLoop {
+            if self.has_dram() {
                 dram_trace.requests += outcome.channel.stats.requests;
                 dram_trace.read_bytes += outcome.channel.stats.read_bytes;
                 dram_trace.write_bytes += outcome.channel.stats.write_bytes;
@@ -966,215 +922,11 @@ impl SystemSimulator {
             dram_trace,
             dram_channels,
             chips: (!self.topology.is_single()).then_some(summaries),
-            links,
+            links: (!self.topology.is_single()).then_some(links),
             // Serving runs attach their section after the fold.
             serving: None,
-            // The caller stamps the effective mode.
-            engine: None,
+            engine: Some(engine),
         })
-    }
-
-    /// The sharded path: one engine thread per chip, synchronized
-    /// through the interconnect-as-[`pim_engine::Boundary`] with
-    /// dynamic per-chip lookahead derived from the declared hand-off
-    /// graph, each route's serialization + propagation, and the tails
-    /// of in-flight transfers. Component layout, event times, and
-    /// link accounting reproduce the single engine exactly, so the
-    /// folded report is byte-identical.
-    #[cfg(feature = "sharded")]
-    fn run_sharded(
-        &self,
-        loads: &[ChipLoad<'_>],
-        rounds: usize,
-        samples_per_round: usize,
-    ) -> Result<SimReport, SimError> {
-        let chips = loads.len();
-        // Mirror the single-engine global layout — per chip
-        // `[dram?, rendezvous, channel, bus]`, then the interconnect,
-        // then the sequencers — with each shard registering only its
-        // own chip's components and padding the rest as vacant slots,
-        // so every cross-shard address is identical in every engine.
-        let per_chip = 3 + usize::from(match self.mode {
-            TimingMode::Analytic => self.replay_dram,
-            TimingMode::ClosedLoop => true,
-        });
-        let interconnect_id = ComponentId(chips * per_chip);
-        let sequencer_ids: Vec<ComponentId> =
-            (0..chips).map(|c| ComponentId(interconnect_id.0 + 1 + c)).collect();
-        // Per-pair delivery lower bounds for the *declared* hand-off
-        // graph: only a chip whose load declares a hand-off to `dst`
-        // can ever ship there, and each route hop pays the hand-off's
-        // full serialization plus propagation even when uncontended.
-        let mut route_bounds = vec![vec![None; chips]; chips];
-        for (src, load) in loads.iter().enumerate() {
-            for handoff in &load.handoffs {
-                route_bounds[src][handoff.dst] =
-                    self.topology.route_transfer_bound_ns(src, handoff.dst, handoff.bytes);
-            }
-        }
-        let mut boundary = LinkBoundary::new(
-            InterconnectComponent::new(&self.topology, &sequencer_ids),
-            interconnect_id,
-            chips,
-            route_bounds,
-        );
-        let sequencer_ids = &sequencer_ids;
-        let shards: Vec<_> = (0..chips)
-            .map(|c| {
-                move |session: pim_engine::ShardSession<ChipEvent>| -> ChipOutcome {
-                    let mut engine: Engine<ChipEvent> = Engine::new(0);
-                    #[cfg(feature = "reference-queue")]
-                    if self.reference_queue {
-                        engine.use_reference_queue();
-                    }
-                    engine.reserve_events(self.shard_event_capacity(&loads[c], chips));
-                    engine.enable_exports();
-                    let mut parts = None;
-                    for cc in 0..chips {
-                        if cc == c {
-                            parts = Some(self.register_chip(&mut engine, c));
-                        } else {
-                            engine.pad_components(per_chip);
-                        }
-                    }
-                    let parts = parts.expect("own chip registered");
-                    // The interconnect slot: vacant here, so its
-                    // events export to the coordinator's boundary.
-                    engine.pad_components(1);
-                    for cc in 0..chips {
-                        if cc == c {
-                            let id = engine.add_component(self.sequencer_for(
-                                c,
-                                loads,
-                                rounds,
-                                &parts,
-                                interconnect_id,
-                            ));
-                            assert_eq!(id, sequencer_ids[c]);
-                        } else {
-                            engine.pad_components(1);
-                        }
-                    }
-                    engine.schedule(SimTime::ZERO, sequencer_ids[c], ChipEvent::Kick);
-                    session.drive(&mut engine);
-                    self.chip_outcome(&mut engine, &parts, sequencer_ids[c])
-                }
-            })
-            .collect();
-        let outcomes = pim_engine::run_sharded(shards, &mut boundary);
-        // Sharded runs are multi-chip by construction (single-chip
-        // topologies never take this path), so links always report.
-        let links = Some(boundary.into_stats());
-        let mut report = self.fold_report(loads, rounds, samples_per_round, outcomes, links)?;
-        report.engine = Some(EngineMode::Sharded { shards: chips });
-        Ok(report)
-    }
-
-    /// The sharded serving path: the same per-chip shard layout as
-    /// [`Self::run_sharded`], with the admission frontend lifted onto
-    /// the boundary ([`ServingBoundary`]) instead of living as source
-    /// and buffer components. Each shard pads the buffer and source
-    /// slots, so its sequencer's `RoundDone` reports export to the
-    /// coordinator, and admitted rounds come back as released
-    /// `AppendRound` remote events. Reports are byte-identical to
-    /// [`Self::run_serving_single`].
-    #[cfg(feature = "sharded")]
-    fn run_serving_sharded(
-        &self,
-        loads: &[ChipLoad<'_>],
-        serving: &ServingConfig,
-        arrivals: Vec<f64>,
-    ) -> Result<SimReport, SimError> {
-        let chips = loads.len();
-        let per_chip = 3 + usize::from(match self.mode {
-            TimingMode::Analytic => self.replay_dram,
-            TimingMode::ClosedLoop => true,
-        });
-        let interconnect_id = ComponentId(chips * per_chip);
-        let sequencer_ids: Vec<ComponentId> =
-            (0..chips).map(|c| ComponentId(interconnect_id.0 + 1 + c)).collect();
-        let buffer_id = ComponentId(interconnect_id.0 + 1 + chips);
-        let mut route_bounds = vec![vec![None; chips]; chips];
-        for (src, load) in loads.iter().enumerate() {
-            for handoff in &load.handoffs {
-                route_bounds[src][handoff.dst] =
-                    self.topology.route_transfer_bound_ns(src, handoff.dst, handoff.bytes);
-            }
-        }
-        let link = LinkBoundary::new(
-            InterconnectComponent::new(&self.topology, &sequencer_ids),
-            interconnect_id,
-            chips,
-            route_bounds,
-        );
-        let active: Vec<usize> = (0..chips).filter(|&c| !loads[c].programs.is_empty()).collect();
-        let mut boundary = ServingBoundary::new(
-            link,
-            BufferCore::new(serving, active.clone()),
-            buffer_id,
-            active,
-            arrivals,
-        );
-        let sequencer_ids = &sequencer_ids;
-        let shards: Vec<_> = (0..chips)
-            .map(|c| {
-                move |session: pim_engine::ShardSession<ChipEvent>| -> ChipOutcome {
-                    let mut engine: Engine<ChipEvent> = Engine::new(0);
-                    #[cfg(feature = "reference-queue")]
-                    if self.reference_queue {
-                        engine.use_reference_queue();
-                    }
-                    engine.reserve_events(self.shard_event_capacity(&loads[c], chips));
-                    engine.enable_exports();
-                    let mut parts = None;
-                    for cc in 0..chips {
-                        if cc == c {
-                            parts = Some(self.register_chip(&mut engine, c));
-                        } else {
-                            engine.pad_components(per_chip);
-                        }
-                    }
-                    let parts = parts.expect("own chip registered");
-                    // The interconnect slot: vacant here, so its
-                    // events export to the coordinator's boundary.
-                    engine.pad_components(1);
-                    for cc in 0..chips {
-                        if cc == c {
-                            // Zero rounds up front; released
-                            // admissions append them at run time.
-                            let mut sequencer =
-                                self.sequencer_for(c, loads, 0, &parts, interconnect_id);
-                            if !loads[c].programs.is_empty() {
-                                sequencer.notify = Some(buffer_id);
-                            }
-                            let id = engine.add_component(sequencer);
-                            assert_eq!(id, sequencer_ids[c]);
-                        } else {
-                            engine.pad_components(1);
-                        }
-                    }
-                    // The buffer and source slots: vacant everywhere —
-                    // the boundary plays both roles, and `RoundDone`
-                    // reports addressed at the buffer slot export.
-                    engine.pad_components(2);
-                    engine.schedule(SimTime::ZERO, sequencer_ids[c], ChipEvent::Kick);
-                    session.drive(&mut engine);
-                    self.chip_outcome(&mut engine, &parts, sequencer_ids[c])
-                }
-            })
-            .collect();
-        let outcomes = pim_engine::run_sharded(shards, &mut boundary);
-        let (core, stats) = boundary.into_parts();
-        // Serving sharded runs are multi-chip by construction, so
-        // links always report.
-        self.fold_serving_report(
-            loads,
-            serving,
-            core,
-            outcomes,
-            Some(stats),
-            EngineMode::Sharded { shards: chips },
-        )
     }
 }
 
@@ -1216,12 +968,98 @@ fn deadlock_of(outcomes: &[ChipOutcome]) -> SimError {
     unreachable!("incomplete system has no blocked core")
 }
 
+/// The global component-id layout of a run, computed once: per chip
+/// `[dram?, rendezvous, channel, bus]`, then the interconnect, one
+/// sequencer per chip, and — for serving runs — the request buffer and
+/// the request source. Cores spawned at run time follow. Every engine
+/// of a run fills these slots in this order
+/// ([`SystemSimulator::build_engine`]), so a component has the same id
+/// on the single engine and on every shard, and cross-shard events
+/// need no id translation.
+struct SystemLayout {
+    chips: Vec<ChipParts>,
+    interconnect: ComponentId,
+    sequencers: Vec<ComponentId>,
+    buffer: Option<ComponentId>,
+    source: Option<ComponentId>,
+}
+
+impl SystemLayout {
+    /// The layout of a `chips`-chip system, with a DRAM slot per chip
+    /// when `dram` is set and the frontend slots when `serving` is.
+    fn new(chips: usize, dram: bool, serving: bool) -> Self {
+        let mut next = 0;
+        let mut slot = || {
+            next += 1;
+            ComponentId(next - 1)
+        };
+        // Struct fields evaluate in written order: the ids ascend.
+        let chips = (0..chips)
+            .map(|_| ChipParts {
+                dram: dram.then(&mut slot),
+                rendezvous: slot(),
+                channel: slot(),
+                bus: slot(),
+            })
+            .collect::<Vec<_>>();
+        let interconnect = slot();
+        let sequencers = chips.iter().map(|_| slot()).collect();
+        let buffer = serving.then(&mut slot);
+        let source = serving.then(&mut slot);
+        Self { chips, interconnect, sequencers, buffer, source }
+    }
+}
+
 /// Component addresses of one chip's shared infrastructure.
 struct ChipParts {
     dram: Option<ComponentId>,
+    rendezvous: ComponentId,
     channel: ComponentId,
     bus: ComponentId,
-    rendezvous: ComponentId,
+}
+
+/// Which slots of the [`SystemLayout`] one engine hosts.
+enum Host {
+    /// Every slot: the single engine, with the serving frontend (if
+    /// any) as the request buffer and source components.
+    Whole(Option<Frontend>),
+    /// Chip `c`'s components and sequencer only: one shard. Events for
+    /// the other chips, the interconnect and the frontend export to
+    /// the [`ShardBoundary`].
+    #[cfg(feature = "sharded")]
+    Shard(usize),
+}
+
+/// The serving round source before it is handed to an executor: the
+/// request-buffer state machine and the pre-generated arrival stream.
+struct Frontend {
+    core: BufferCore,
+    arrivals: Vec<f64>,
+}
+
+/// Fills global slot `id` of an engine under construction: with
+/// `component` when the engine hosts it, with a vacant pad otherwise.
+fn place<C: Component<ChipEvent>>(
+    engine: &mut Engine<ChipEvent>,
+    id: ComponentId,
+    component: Option<C>,
+) {
+    match component {
+        Some(component) => {
+            assert_eq!(engine.add_component(component), id, "slots fill in layout order");
+        }
+        None => engine.pad_components(1),
+    }
+}
+
+/// What a run leaves behind, whichever executor ran it.
+struct RunOutcome {
+    chips: Vec<ChipOutcome>,
+    links: Vec<LinkStats>,
+    /// The serving frontend's admission ledger (`None` for fixed-round
+    /// runs).
+    frontend: Option<BufferCore>,
+    engine: EngineMode,
 }
 
 /// One chip's extracted end-of-run state — everything the report fold
@@ -1263,7 +1101,7 @@ enum TransferKind {
 /// engine's chip-major Kick seeding produces for symmetric chips);
 /// boundary-relayed hops share one lane past every shard's (relays
 /// with equal `(time, scheduled)` are always carried in the same
-/// [`LinkBoundary::advance`] pass, so their emission order is already
+/// [`ShardBoundary`] advance pass, so their emission order is already
 /// the processing order). Lanes make cross-window ties — which the
 /// old global-window protocol could never produce, but lazy pacing
 /// can — deterministic.
@@ -1326,23 +1164,23 @@ fn tighten(slot: &mut Option<SimTime>, candidate: SimTime) {
     }
 }
 
-/// The sharded run's [`pim_engine::Boundary`]: the interconnect
-/// lifted out of the engines and driven by the coordinator between
-/// windows. All cross-chip `Ship`s export here; hops are carried in
-/// the exact `(time, seq)` order the single engine would use, so the
-/// link-contention arithmetic — including the order of its f64
-/// accumulations — is byte-identical.
+/// The interconnect lifted out of the engines for a sharded run,
+/// driven by the [`ShardBoundary`] between windows. All cross-chip
+/// `Ship`s export here; hops are carried in the exact `(time, seq)`
+/// order the single engine would use, so the link-contention
+/// arithmetic — including the order of its f64 accumulations — is
+/// byte-identical.
 ///
-/// The boundary owns all lookahead knowledge: per-destination
-/// horizons come from the tails of in-flight [`PendingTransfer`]s
-/// (a hop ready at `t` delivers no earlier than `t` plus its
-/// remaining hops' serialization + propagation) and from the shards'
-/// frontiers propagated through the *declared* hand-off graph — only
-/// a chip whose load declares a hand-off to `dst` can ever ship
-/// there, so chips with no inbound producers get an unbounded
-/// horizon and run to completion in one window.
+/// The relay owns the transfer half of the lookahead: per-destination
+/// horizons come from the tails of in-flight [`PendingTransfer`]s (a
+/// hop ready at `t` delivers no earlier than `t` plus its remaining
+/// hops' serialization + propagation) and from the shards' frontiers
+/// propagated through the *declared* hand-off graph — only a chip
+/// whose load declares a hand-off to `dst` can ever ship there, so
+/// chips with no inbound producers get an unbounded horizon and run
+/// to completion in one window.
 #[cfg(feature = "sharded")]
-struct LinkBoundary {
+struct LinkRelay {
     fabric: InterconnectComponent,
     /// The interconnect's global component id (every non-terminal hop
     /// re-targets it).
@@ -1364,16 +1202,22 @@ struct LinkBoundary {
 }
 
 #[cfg(feature = "sharded")]
-impl LinkBoundary {
-    fn new(
-        fabric: InterconnectComponent,
-        me: ComponentId,
-        chips: usize,
-        route_bounds: Vec<Vec<Option<f64>>>,
-    ) -> Self {
+impl LinkRelay {
+    fn new(topology: &Topology, loads: &[ChipLoad<'_>], layout: &SystemLayout) -> Self {
+        let chips = loads.len();
+        // Per-pair delivery lower bounds for the declared hand-off
+        // graph: each route hop pays the hand-off's full serialization
+        // plus propagation even when uncontended.
+        let mut route_bounds = vec![vec![None; chips]; chips];
+        for (src, load) in loads.iter().enumerate() {
+            for handoff in &load.handoffs {
+                route_bounds[src][handoff.dst] =
+                    topology.route_transfer_bound_ns(src, handoff.dst, handoff.bytes);
+            }
+        }
         Self {
-            fabric,
-            me,
+            fabric: InterconnectComponent::new(topology, &layout.sequencers),
+            me: layout.interconnect,
             chips,
             pending: BinaryHeap::new(),
             ready: (0..chips).map(|_| BinaryHeap::new()).collect(),
@@ -1382,18 +1226,12 @@ impl LinkBoundary {
         }
     }
 
-    /// The admission lane: all serving-frontend admissions share one
+    /// Queues one admitted-round delivery for `dst`, cut at
+    /// `scheduled` and delivered at `time`. All admissions share one
     /// lane past every shard's and the relay lane, so equal-instant
     /// ties against genuine transfers resolve the same way every run.
-    fn admission_lane(&self) -> usize {
-        self.chips + 1
-    }
-
-    /// Queues one admitted-round delivery for `dst`, cut at
-    /// `scheduled` and delivered at `time`.
     fn push_admission(&mut self, time: SimTime, scheduled: SimTime, dst: usize) {
-        let lane = self.admission_lane();
-        self.push(time, scheduled, lane, TransferKind::Admission { dst });
+        self.push(time, scheduled, self.chips + 1, TransferKind::Admission { dst });
     }
 
     /// Queues boundary work scheduled at instant `scheduled` on
@@ -1417,6 +1255,12 @@ impl LinkBoundary {
             }
             TransferKind::Ship { .. } => self.pending.push(Reverse(entry)),
         }
+    }
+
+    /// The earliest undelivered transfer: in flight or ready.
+    fn next_time(&self) -> Option<SimTime> {
+        let ready = self.ready.iter().filter_map(|queue| queue.peek().map(|Reverse(e)| e.time));
+        self.pending.peek().map(|Reverse(p)| p.time).into_iter().chain(ready).min()
     }
 
     /// Earliest possible delivery instant of an in-flight hop: its
@@ -1539,42 +1383,8 @@ impl LinkBoundary {
             .collect()
     }
 
-    /// The accumulated per-link statistics, for the report fold.
-    fn into_stats(self) -> Vec<LinkStats> {
-        self.fabric.stats
-    }
-}
-
-#[cfg(feature = "sharded")]
-impl pim_engine::Boundary<ChipEvent> for LinkBoundary {
-    fn next_time(&self) -> Option<SimTime> {
-        let mut next = self.pending.peek().map(|Reverse(p)| p.time);
-        for queue in &self.ready {
-            if let Some(Reverse(front)) = queue.peek() {
-                tighten(&mut next, front.time);
-            }
-        }
-        next
-    }
-
-    fn advance(&mut self, frontiers: &[Option<SimTime>]) {
-        // Carry every hop that can no longer be preceded by any future
-        // export, recomputing the frontier after each step (bounds
-        // only grow as hops are carried, so the loop is monotone and
-        // terminates).
-        loop {
-            let eff = self.effective_frontiers(frontiers);
-            if !self.carry_front_if_safe(&eff) {
-                break;
-            }
-        }
-    }
-
-    fn horizons(&self, frontiers: &[Option<SimTime>]) -> Vec<Option<SimTime>> {
-        let eff = self.effective_frontiers(frontiers);
-        self.horizons_from(&eff)
-    }
-
+    /// Releases `shard`'s finalized deliveries that fire strictly
+    /// before `horizon` (all of them when `None`), in delivery order.
     fn release(&mut self, shard: usize, horizon: Option<SimTime>) -> Vec<RemoteEvent<ChipEvent>> {
         let mut inbox = Vec::new();
         while let Some(Reverse(front)) = self.ready[shard].peek() {
@@ -1602,16 +1412,15 @@ impl pim_engine::Boundary<ChipEvent> for LinkBoundary {
         inbox
     }
 
-    fn absorb(&mut self, shard: usize, exports: Vec<RemoteEvent<ChipEvent>>) {
-        // Every export's firing time equals its scheduling instant
-        // (sequencers ship at `now`); the source shard is its lane.
-        for event in exports {
-            assert_eq!(event.target, self.me, "cross-shard events all address the interconnect");
-            let ChipEvent::Ship { src, dst, bytes, hop } = event.payload else {
-                unreachable!("interconnect received {:?}", event.payload)
-            };
-            self.push(event.time, event.time, shard, TransferKind::Ship { src, dst, bytes, hop });
-        }
+    /// Absorbs one export of `shard` bound for the interconnect. Its
+    /// firing time equals its scheduling instant (sequencers ship at
+    /// `now`); the source shard is its lane.
+    fn absorb(&mut self, shard: usize, event: RemoteEvent<ChipEvent>) {
+        assert_eq!(event.target, self.me, "cross-shard events all address the interconnect");
+        let ChipEvent::Ship { src, dst, bytes, hop } = event.payload else {
+            unreachable!("interconnect received {:?}", event.payload)
+        };
+        self.push(event.time, event.time, shard, TransferKind::Ship { src, dst, bytes, hop });
     }
 }
 
@@ -1642,13 +1451,13 @@ struct InboxDone {
 }
 
 /// The [`AdmissionSink`] of the sharded serving frontend: admissions
-/// become [`TransferKind::Admission`] deliveries on the boundary's
-/// ready queues (released to their shards under the usual horizon
+/// become [`TransferKind::Admission`] deliveries on the relay's ready
+/// queues (released to their shards under the usual horizon
 /// discipline), deadline timers land on the frontend's own timer
 /// heap.
 #[cfg(feature = "sharded")]
 struct FrontendSink<'a> {
-    link: &'a mut LinkBoundary,
+    link: &'a mut LinkRelay,
     timers: &'a mut BinaryHeap<Reverse<TimerEntry>>,
     timer_emit: &'a mut u64,
     active: &'a [usize],
@@ -1673,10 +1482,9 @@ impl AdmissionSink for FrontendSink<'_> {
     }
 }
 
-/// The sharded *serving* boundary: a [`LinkBoundary`] plus the
-/// admission frontend — the request source (as a pre-generated
-/// arrival stream), the [`BufferCore`] state machine, its flush
-/// timers, and the inbox of absorbed round completions. The frontend
+/// The serving frontend of a sharded run: the request source (as a
+/// pre-generated arrival stream), the [`BufferCore`] state machine,
+/// its flush timers, and the inbox of absorbed round completions. It
 /// replays the exact event interleaving the single engine's buffer
 /// component sees, by merging its three input streams (arrivals,
 /// timers, completions) in time order and only consuming an input
@@ -1693,8 +1501,7 @@ impl AdmissionSink for FrontendSink<'_> {
 /// granting a shard a window up to the admission bound always lets it
 /// pass the instant that triggers the admission.
 #[cfg(feature = "sharded")]
-struct ServingBoundary {
-    link: LinkBoundary,
+struct ShardFrontend {
     core: BufferCore,
     /// The request buffer's global component id: shard exports
     /// targeting it are frontend input, everything else is fabric
@@ -1718,32 +1525,25 @@ struct ServingBoundary {
 }
 
 #[cfg(feature = "sharded")]
-impl ServingBoundary {
-    fn new(
-        link: LinkBoundary,
-        core: BufferCore,
-        buffer_id: ComponentId,
-        active: Vec<usize>,
-        arrivals: Vec<f64>,
-    ) -> Self {
-        let chips = link.chips;
+impl ShardFrontend {
+    fn new(frontend: Frontend, buffer_id: ComponentId, link: &mut LinkRelay) -> Self {
+        let Frontend { core, arrivals } = frontend;
         let mut this = Self {
-            link,
+            active: core.chips.clone(),
             core,
             buffer_id,
-            active,
             arrivals,
             next_arrival: 0,
             timers: BinaryHeap::new(),
             timer_emit: 0,
             inbox: BinaryHeap::new(),
-            inbox_emit: vec![0; chips],
+            inbox_emit: vec![0; link.chips],
         };
         if this.arrivals.is_empty() {
             // An empty stream drains at t = 0, exactly like the single
             // engine's source scheduling `SourceDrained` off its Kick.
             let mut sink = FrontendSink {
-                link: &mut this.link,
+                link,
                 timers: &mut this.timers,
                 timer_emit: &mut this.timer_emit,
                 active: &this.active,
@@ -1751,6 +1551,17 @@ impl ServingBoundary {
             this.core.on_source_drained(0.0, &mut sink);
         }
         this
+    }
+
+    /// The instant of the next input of each class, in tie-break order:
+    /// round completions, then flush timers, then arrivals — a fixed
+    /// convention for a tie no continuous-time trace produces.
+    fn inputs(&self) -> [Option<SimTime>; 3] {
+        [
+            self.inbox.peek().map(|Reverse(done)| done.time),
+            self.timers.peek().map(|Reverse(timer)| timer.due),
+            self.arrivals.get(self.next_arrival).map(|&ns| SimTime::from_ns(ns)),
+        ]
     }
 
     /// The earliest instant the buffer could next cut a batch, given
@@ -1761,150 +1572,151 @@ impl ServingBoundary {
     /// future completion. `None` means no future admission is
     /// possible.
     fn admission_trigger(&self, gate: Option<SimTime>) -> Option<SimTime> {
-        let mut trigger: Option<SimTime> = None;
-        if let Some(&at) = self.arrivals.get(self.next_arrival) {
-            tighten(&mut trigger, SimTime::from_ns(at));
-        }
-        if let Some(Reverse(front)) = self.timers.peek() {
-            tighten(&mut trigger, front.due);
-        }
-        if self.core.awaiting_capacity() {
-            // Only in this state can a completion move the buffer: a
-            // batch is due and every in-flight slot is taken, so the
-            // next cut fires off a `RoundDone`.
-            if let Some(Reverse(front)) = self.inbox.peek() {
-                tighten(&mut trigger, front.time);
-            }
-            if let Some(gate) = gate {
-                tighten(&mut trigger, gate);
-            }
-        }
-        trigger
-    }
-
-    /// The boundary's frontier view: the link's effective frontiers
-    /// tightened by potential future admissions, plus the *gate* — the
-    /// earliest instant any active chip could still emit a round
-    /// completion (`None` when every active chip is silent forever).
-    /// The gate is computed *before* admission tightening: completions
-    /// of already-admitted rounds are bounded by the pre-admission
-    /// frontiers, and any admission the frontend performs later is
-    /// performed in stream order, so it can only create completions at
-    /// or after the instant being consumed.
-    fn frontier_view(
-        &self,
-        frontiers: &[Option<SimTime>],
-    ) -> (Vec<Option<SimTime>>, Option<SimTime>) {
-        let mut eff = self.link.effective_frontiers(frontiers);
-        let mut gate: Option<SimTime> = None;
-        for &c in &self.active {
-            // `None` frontiers contribute nothing: a permanently
-            // silent chip never reports another round.
-            if let Some(t) = eff[c] {
-                tighten(&mut gate, t);
-            }
-        }
-        if let Some(trigger) = self.admission_trigger(gate) {
-            let adm = trigger.advance(ADMISSION_LATENCY_NS);
-            // One pass suffices: every chip that can ship is active
-            // (idle chips cannot declare hand-offs), so any secondary
-            // influence `adm + route bound` exceeds the `adm` every
-            // active chip is already tightened to.
-            for &c in &self.active {
-                tighten(&mut eff[c], adm);
-            }
-        }
-        (eff, gate)
+        let [done, timer, arrival] = self.inputs();
+        // Only while a due batch waits on a full in-flight window can a
+        // completion move the buffer: the next cut fires off a
+        // `RoundDone`.
+        let waiting = self.core.awaiting_capacity();
+        [timer, arrival, done.filter(|_| waiting), gate.filter(|_| waiting)]
+            .into_iter()
+            .flatten()
+            .min()
     }
 
     /// Consumes the earliest frontend input strictly below `gate` (a
-    /// `None` gate consumes freely): an absorbed completion, an armed
-    /// timer, or the next arrival — completions before timers before
-    /// arrivals on equal instants, a fixed convention for a tie no
-    /// continuous-time trace produces. Returns whether an input was
-    /// consumed.
-    fn pump_one(&mut self, gate: Option<SimTime>) -> bool {
-        let arrival = self.arrivals.get(self.next_arrival).map(|&ns| SimTime::from_ns(ns));
-        let timer = self.timers.peek().map(|Reverse(t)| t.due);
-        let done = self.inbox.peek().map(|Reverse(d)| d.time);
-        // Class-priority min: inbox (0) < timer (1) < arrival (2).
-        let mut pick: Option<(SimTime, u8)> = None;
-        for (time, class) in
-            [(done, 0u8), (timer, 1), (arrival, 2)].into_iter().filter_map(|(t, c)| Some((t?, c)))
-        {
-            if pick.is_none_or(|best| (time, class) < best) {
-                pick = Some((time, class));
-            }
-        }
+    /// `None` gate consumes freely), queueing any admission it cuts on
+    /// `link`. Returns whether an input was consumed.
+    fn pump_one(&mut self, gate: Option<SimTime>, link: &mut LinkRelay) -> bool {
+        let pick =
+            self.inputs().into_iter().enumerate().filter_map(|(class, t)| Some((t?, class))).min();
         let Some((time, class)) = pick else { return false };
-        if let Some(gate) = gate {
-            if time >= gate {
-                return false;
-            }
+        if gate.is_some_and(|gate| time >= gate) {
+            return false;
         }
-        match class {
-            0 => {
-                let Reverse(done) = self.inbox.pop().expect("peeked entry exists");
-                let mut sink = FrontendSink {
-                    link: &mut self.link,
-                    timers: &mut self.timers,
-                    timer_emit: &mut self.timer_emit,
-                    active: &self.active,
-                };
-                self.core.on_round_done(done.chip, done.time.as_ns(), &mut sink);
-            }
-            1 => {
-                let Reverse(timer) = self.timers.pop().expect("peeked entry exists");
-                let mut sink = FrontendSink {
-                    link: &mut self.link,
-                    timers: &mut self.timers,
-                    timer_emit: &mut self.timer_emit,
-                    active: &self.active,
-                };
-                self.core.on_flush_deadline(timer.generation, timer.due.as_ns(), &mut sink);
-            }
+        enum Input {
+            Done { chip: usize },
+            Timer { generation: u64 },
+            Arrival,
+        }
+        // Pop the input before the sink borrows the timer heap.
+        let input = match class {
+            0 => Input::Done { chip: self.inbox.pop().expect("peeked input exists").0.chip },
+            1 => Input::Timer {
+                generation: self.timers.pop().expect("peeked input exists").0.generation,
+            },
             _ => {
-                let at = self.arrivals[self.next_arrival];
                 self.next_arrival += 1;
-                let last = self.next_arrival == self.arrivals.len();
-                let mut sink = FrontendSink {
-                    link: &mut self.link,
-                    timers: &mut self.timers,
-                    timer_emit: &mut self.timer_emit,
-                    active: &self.active,
-                };
-                self.core.on_new_request(at, &mut sink);
-                if last {
+                Input::Arrival
+            }
+        };
+        let mut sink = FrontendSink {
+            link,
+            timers: &mut self.timers,
+            timer_emit: &mut self.timer_emit,
+            active: &self.active,
+        };
+        let now = time.as_ns();
+        match input {
+            Input::Done { chip } => self.core.on_round_done(chip, now, &mut sink),
+            Input::Timer { generation } => self.core.on_flush_deadline(generation, now, &mut sink),
+            Input::Arrival => {
+                self.core.on_new_request(now, &mut sink);
+                if self.next_arrival == self.arrivals.len() {
                     // The single engine schedules `SourceDrained` at
                     // the last arrival's instant, right behind it.
-                    self.core.on_source_drained(at, &mut sink);
+                    self.core.on_source_drained(now, &mut sink);
                 }
             }
         }
         true
     }
 
-    /// Tears the boundary down into the admission ledger and the
-    /// accumulated link statistics, for the report fold.
-    fn into_parts(self) -> (BufferCore, Vec<LinkStats>) {
-        (self.core, self.link.into_stats())
+    /// Queues one absorbed `RoundDone` export of `shard`.
+    fn absorb(&mut self, shard: usize, event: RemoteEvent<ChipEvent>) {
+        let ChipEvent::RoundDone { chip } = event.payload else {
+            unreachable!("request buffer received {:?}", event.payload)
+        };
+        let emit = self.inbox_emit[shard];
+        self.inbox_emit[shard] += 1;
+        self.inbox.push(Reverse(InboxDone { time: event.time, lane: shard, emit, chip }));
+    }
+}
+
+/// The sharded executor's [`pim_engine::Boundary`]: the interconnect
+/// relay plus, for serving runs, the admission frontend. Without a
+/// frontend there is no admission term, and frontiers and horizons are
+/// the relay's alone.
+#[cfg(feature = "sharded")]
+struct ShardBoundary {
+    link: LinkRelay,
+    frontend: Option<ShardFrontend>,
+}
+
+/// A shard boundary's view of the frontiers: the effective frontiers,
+/// the frontend's gate and the admission bound (see
+/// [`ShardBoundary::frontier_view`]).
+#[cfg(feature = "sharded")]
+type FrontierView = (Vec<Option<SimTime>>, Option<SimTime>, Option<SimTime>);
+
+#[cfg(feature = "sharded")]
+impl ShardBoundary {
+    fn new(
+        topology: &Topology,
+        loads: &[ChipLoad<'_>],
+        layout: &SystemLayout,
+        frontend: Option<Frontend>,
+    ) -> Self {
+        let mut link = LinkRelay::new(topology, loads, layout);
+        let frontend = frontend.map(|frontend| {
+            let buffer = layout.buffer.expect("serving layouts carry a buffer slot");
+            ShardFrontend::new(frontend, buffer, &mut link)
+        });
+        Self { link, frontend }
+    }
+
+    /// The relay's effective frontiers, tightened by potential future
+    /// admissions; the *gate* — the earliest instant any active chip
+    /// could still emit a round completion (`None` when every active
+    /// chip is silent forever); and the admission bound — the
+    /// admission trigger advanced by [`ADMISSION_LATENCY_NS`]. The
+    /// gate is computed *before* admission tightening: completions of
+    /// already-admitted rounds are bounded by the pre-admission
+    /// frontiers, and any admission the frontend performs later is
+    /// performed in stream order, so it can only create completions at
+    /// or after the instant being consumed.
+    fn frontier_view(&self, frontiers: &[Option<SimTime>]) -> FrontierView {
+        let mut eff = self.link.effective_frontiers(frontiers);
+        let Some(frontend) = &self.frontend else { return (eff, None, None) };
+        // `None` frontiers contribute nothing: a permanently silent
+        // chip never reports another round.
+        let gate = frontend.active.iter().filter_map(|&c| eff[c]).min();
+        let admission =
+            frontend.admission_trigger(gate).map(|trigger| trigger.advance(ADMISSION_LATENCY_NS));
+        if let Some(admission) = admission {
+            // One pass suffices: every chip that can ship is active
+            // (idle chips cannot declare hand-offs), so any secondary
+            // influence `admission + route bound` exceeds the
+            // admission bound every active chip is already tightened
+            // to.
+            for &c in &frontend.active {
+                tighten(&mut eff[c], admission);
+            }
+        }
+        (eff, gate, admission)
+    }
+
+    /// Tears the boundary down into the accumulated link statistics
+    /// and the frontend's admission ledger, for the report fold.
+    fn into_parts(self) -> (Vec<LinkStats>, Option<BufferCore>) {
+        (self.link.fabric.stats, self.frontend.map(|frontend| frontend.core))
     }
 }
 
 #[cfg(feature = "sharded")]
-impl pim_engine::Boundary<ChipEvent> for ServingBoundary {
+impl pim_engine::Boundary<ChipEvent> for ShardBoundary {
     fn next_time(&self) -> Option<SimTime> {
-        let mut next = self.link.next_time();
-        if let Some(&ns) = self.arrivals.get(self.next_arrival) {
-            tighten(&mut next, SimTime::from_ns(ns));
-        }
-        if let Some(Reverse(front)) = self.timers.peek() {
-            tighten(&mut next, front.due);
-        }
-        if let Some(Reverse(front)) = self.inbox.peek() {
-            tighten(&mut next, front.time);
-        }
-        next
+        let frontend = self.frontend.iter().flat_map(ShardFrontend::inputs).flatten();
+        self.link.next_time().into_iter().chain(frontend).min()
     }
 
     fn advance(&mut self, frontiers: &[Option<SimTime>]) {
@@ -1914,27 +1726,29 @@ impl pim_engine::Boundary<ChipEvent> for ServingBoundary {
         // (tightening the frontiers hop-carrying runs under). Both
         // steps only consume monotone state, so the loop terminates.
         loop {
-            let (eff, gate) = self.frontier_view(frontiers);
+            let (eff, gate, _) = self.frontier_view(frontiers);
             if self.link.carry_front_if_safe(&eff) {
                 continue;
             }
-            if self.pump_one(gate) {
-                continue;
+            let pumped = match &mut self.frontend {
+                Some(frontend) => frontend.pump_one(gate, &mut self.link),
+                None => false,
+            };
+            if !pumped {
+                break;
             }
-            break;
         }
     }
 
     fn horizons(&self, frontiers: &[Option<SimTime>]) -> Vec<Option<SimTime>> {
-        let (eff, gate) = self.frontier_view(frontiers);
+        let (eff, _, admission) = self.frontier_view(frontiers);
         let mut horizons = self.link.horizons_from(&eff);
         // A future admission is delivered to every active chip
         // directly (no route hops), so it bounds their release
         // horizons as well as their frontiers.
-        if let Some(trigger) = self.admission_trigger(gate) {
-            let adm = trigger.advance(ADMISSION_LATENCY_NS);
-            for &c in &self.active {
-                tighten(&mut horizons[c], adm);
+        if let (Some(frontend), Some(admission)) = (&self.frontend, admission) {
+            for &c in &frontend.active {
+                tighten(&mut horizons[c], admission);
             }
         }
         horizons
@@ -1945,20 +1759,16 @@ impl pim_engine::Boundary<ChipEvent> for ServingBoundary {
     }
 
     fn absorb(&mut self, shard: usize, exports: Vec<RemoteEvent<ChipEvent>>) {
-        let mut ships = Vec::new();
+        // Exports arrive in the shard's `(time, seq)` pop order; the
+        // relay and the frontend inbox keep independent orders.
         for event in exports {
-            if event.target == self.buffer_id {
-                let ChipEvent::RoundDone { chip } = event.payload else {
-                    unreachable!("request buffer received {:?}", event.payload)
-                };
-                let emit = self.inbox_emit[shard];
-                self.inbox_emit[shard] += 1;
-                self.inbox.push(Reverse(InboxDone { time: event.time, lane: shard, emit, chip }));
-            } else {
-                ships.push(event);
+            match &mut self.frontend {
+                Some(frontend) if event.target == frontend.buffer_id => {
+                    frontend.absorb(shard, event)
+                }
+                _ => self.link.absorb(shard, event),
             }
         }
-        self.link.absorb(shard, ships);
     }
 }
 

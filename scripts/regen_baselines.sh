@@ -50,8 +50,7 @@ cargo run --release -p compass-bench --features parallel --bin ga_scaling -- --q
 cargo run --release -p compass-bench --bin serving_sweep -- --quick --json "${BASELINE}"
 # Serving-engine records: serving:abs:shard:* / serving:gate:shard:*
 # single-vs-sharded walls over the rate × topology grid (byte-identity
-# asserted per point, parallelism-stamped like the ga:* records) plus
-# the serving:abs:hotpath:chunk:* arrival-pregeneration walls. The
+# asserted per point, parallelism-stamped like the ga:* records). The
 # floor is a collapse guard only; a narrow host pins the honest
 # sub-1x ratio and prints a skip note instead.
 cargo run --release -p compass-bench --features sharded --bin serving_sweep -- --shard --quick --json "${BASELINE}" --min-shard-speedup 0.25

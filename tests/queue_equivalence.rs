@@ -152,6 +152,19 @@ mod sharded {
         sharded: bool,
         seed: u64,
     ) -> String {
+        report_with_replay(topology, timing, schedule, sharded, seed, true)
+    }
+
+    /// [`report`] with the analytic-mode DRAM replay switched by
+    /// `replay`.
+    fn report_with_replay(
+        topology: Topology,
+        timing: TimingMode,
+        schedule: ScheduleMode,
+        sharded: bool,
+        seed: u64,
+        replay: bool,
+    ) -> String {
         let compiled = compiled_with_seed(2, seed);
         let chips = topology.chips();
         // Hand-off chain: every chip feeds its successor, so shard
@@ -169,6 +182,7 @@ mod sharded {
         let report = SystemSimulator::new(ChipSpec::chip_s(), topology)
             .with_timing_mode(timing)
             .with_schedule_mode(schedule)
+            .with_dram_replay(replay)
             .with_sharded(sharded)
             .run(&loads, 3, 2)
             .expect("simulates");
@@ -188,6 +202,19 @@ mod sharded {
                     );
                 }
             }
+            // Analytic with replay off: the only layout with three
+            // components per chip.
+            let run = |sharded: bool| {
+                report_with_replay(
+                    topology.clone(),
+                    TimingMode::Analytic,
+                    ScheduleMode::Barrier,
+                    sharded,
+                    11,
+                    false,
+                )
+            };
+            assert_eq!(run(false), run(true), "sharded vs single ({topology}, replay off)");
         }
     }
 

@@ -192,6 +192,45 @@ fn serving_rejects_nonsense_configs() {
     assert!(matches!(sim.run_serving(&loads, &zero_inflight), Err(SimError::InvalidServing(_))));
     let zero_batch = ServingConfig::new(traffic.clone()).with_policy(BatchPolicy::MaxSize(0));
     assert!(matches!(sim.run_serving(&loads, &zero_batch), Err(SimError::InvalidServing(_))));
+    // Deadlines must be finite, non-negative waits.
+    for timeout_ns in [f64::INFINITY, -1.0, f64::NAN] {
+        let policy = BatchPolicy::Deadline { max_size: 4, timeout_ns };
+        let config = ServingConfig::new(traffic.clone()).with_policy(policy);
+        assert!(
+            matches!(sim.run_serving(&loads, &config), Err(SimError::InvalidServing(_))),
+            "deadline {timeout_ns} ns"
+        );
+    }
+    // Arrival models need non-negative rates and positive dwell means.
+    let mmpp = |calm_rate_per_s: f64, mean_burst_s: f64| TrafficModel::Mmpp {
+        calm_rate_per_s,
+        burst_rate_per_s: 1e5,
+        mean_calm_s: 1e-3,
+        mean_burst_s,
+    };
+    for model in [
+        TrafficModel::Poisson { rate_per_s: -1.0 },
+        TrafficModel::Poisson { rate_per_s: f64::NAN },
+        mmpp(-1.0, 1e-3),
+        mmpp(f64::NAN, 1e-3),
+        mmpp(1e5, 0.0),
+        mmpp(1e5, -1e-3),
+        mmpp(1e5, f64::NAN),
+    ] {
+        let config = ServingConfig::new(TrafficSpec::Synthetic { model, seed: 1, requests: 4 });
+        assert!(
+            matches!(sim.run_serving(&loads, &config), Err(SimError::InvalidServing(_))),
+            "{model:?}"
+        );
+    }
+    // An SLO must be a positive latency.
+    for slo_ns in [f64::NAN, 0.0, -5.0] {
+        let config = ServingConfig::new(traffic.clone()).with_slo_ns(slo_ns);
+        assert!(
+            matches!(sim.run_serving(&loads, &config), Err(SimError::InvalidServing(_))),
+            "SLO {slo_ns} ns"
+        );
+    }
     // An all-idle system has nothing to serve on.
     let idle = [ChipLoad::new(&[]), ChipLoad::new(&[])];
     assert!(matches!(
@@ -211,31 +250,6 @@ fn empty_traffic_serves_nothing_gracefully() {
     assert_eq!(report.makespan_ns, 0.0);
 }
 
-#[test]
-fn arrival_chunk_size_never_changes_the_report() {
-    // The chunked request source is a scheduling-cost optimization,
-    // not a semantic knob: every chunk size replays the identical
-    // arrival stream, so the reports are byte-identical.
-    let chip = ChipSpec::chip_s();
-    let stage = mvm_program(chip.cores, 30);
-    let loads = [
-        ChipLoad::new(std::slice::from_ref(&stage)).with_handoff(1, 4096),
-        ChipLoad::new(std::slice::from_ref(&stage)),
-    ];
-    let config = ServingConfig::new(poisson(2.5e5, 13, 48)).with_policy(BatchPolicy::MaxSize(4));
-    let run = |chunk: usize| {
-        let report = SystemSimulator::new(chip.clone(), Topology::ring(2))
-            .with_arrival_chunk(chunk)
-            .run_serving(&loads, &config)
-            .expect("serves");
-        serde_json::to_string(&report).expect("serializes")
-    };
-    let default = run(512);
-    for chunk in [1usize, 7, 48, 4096] {
-        assert_eq!(run(chunk), default, "chunk {chunk} must replay the same stream");
-    }
-}
-
 /// Sharded serving must reproduce the single-threaded oracle byte for
 /// byte: the admission frontend lives on the shard boundary, cuts the
 /// same batches at the same instants, and the folded report — request
@@ -243,6 +257,7 @@ fn arrival_chunk_size_never_changes_the_report() {
 #[cfg(feature = "sharded")]
 mod sharded_serving {
     use super::*;
+    use pim_arch::{ScheduleMode, TimingMode};
     use pim_sim::EngineMode;
 
     /// A `chips`-long hand-off chain on `topology`, every chip active,
@@ -252,6 +267,18 @@ mod sharded_serving {
         serving: &ServingConfig,
         waves: usize,
         sharded: bool,
+    ) -> SimReport {
+        chain_run_in(topology, serving, waves, sharded, TimingMode::Analytic, ScheduleMode::Barrier)
+    }
+
+    /// [`chain_run`] under the given timing and schedule modes.
+    fn chain_run_in(
+        topology: Topology,
+        serving: &ServingConfig,
+        waves: usize,
+        sharded: bool,
+        timing: TimingMode,
+        schedule: ScheduleMode,
     ) -> SimReport {
         let chip = ChipSpec::chip_s();
         let stage = mvm_program(chip.cores, waves);
@@ -267,6 +294,8 @@ mod sharded_serving {
             })
             .collect();
         SystemSimulator::new(chip, topology)
+            .with_timing_mode(timing)
+            .with_schedule_mode(schedule)
             .with_sharded(sharded)
             .run_serving(&loads, serving)
             .expect("serves")
@@ -304,27 +333,39 @@ mod sharded_serving {
 
     #[test]
     fn sharded_serving_matches_single_threaded_across_the_matrix() {
+        // Analytic barrier runs cover every topology, seed, source and
+        // policy; the closed-loop and interleaved legs run ring:2 on
+        // one seed.
+        let mut legs = Vec::new();
         for topology in [Topology::ring(2), Topology::fully_connected(4)] {
             for seed in [3u64, 17, 29] {
-                for source in sources(seed) {
-                    for policy in policies() {
-                        let config = ServingConfig::new(source.clone()).with_policy(policy);
-                        let single = chain_run(topology.clone(), &config, 40, false);
-                        let shard = chain_run(topology.clone(), &config, 40, true);
-                        assert!(
-                            matches!(single.engine, Some(EngineMode::SingleThread)),
-                            "oracle runs single-threaded"
-                        );
-                        assert!(
-                            matches!(shard.engine, Some(EngineMode::Sharded { .. })),
-                            "honored sharding must be recorded, not silently dropped"
-                        );
-                        assert_eq!(
-                            serde_json::to_string(&single).expect("serializes"),
-                            serde_json::to_string(&shard).expect("serializes"),
-                            "sharded vs single ({topology}, seed {seed}, {policy:?})"
-                        );
-                    }
+                legs.push((topology.clone(), seed, TimingMode::Analytic, ScheduleMode::Barrier));
+            }
+        }
+        legs.push((Topology::ring(2), 3, TimingMode::ClosedLoop, ScheduleMode::Barrier));
+        legs.push((Topology::ring(2), 3, TimingMode::Analytic, ScheduleMode::Interleaved));
+        for (topology, seed, timing, schedule) in legs {
+            for source in sources(seed) {
+                for policy in policies() {
+                    let config = ServingConfig::new(source.clone()).with_policy(policy);
+                    let run = |sharded: bool| {
+                        chain_run_in(topology.clone(), &config, 40, sharded, timing, schedule)
+                    };
+                    let (single, shard) = (run(false), run(true));
+                    assert!(
+                        matches!(single.engine, Some(EngineMode::SingleThread)),
+                        "oracle runs single-threaded"
+                    );
+                    assert!(
+                        matches!(shard.engine, Some(EngineMode::Sharded { .. })),
+                        "honored sharding must be recorded, not silently dropped"
+                    );
+                    assert_eq!(
+                        serde_json::to_string(&single).expect("serializes"),
+                        serde_json::to_string(&shard).expect("serializes"),
+                        "sharded vs single ({topology}, seed {seed}, {timing}, {schedule}, \
+                         {policy:?})"
+                    );
                 }
             }
         }
