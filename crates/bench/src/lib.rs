@@ -325,8 +325,9 @@ pub struct BenchRecord {
     /// Simulated throughput, inferences/s.
     pub throughput_ips: f64,
     /// Hardware threads of the host that measured this record, for
-    /// records whose value depends on them (shard-scaling wall
-    /// clocks). `None` for machine-independent simulated quantities.
+    /// records whose value depends on them (GA-scaling wall clocks
+    /// and parallel speedups). `None` for machine-independent
+    /// simulated quantities.
     pub host_parallelism: Option<usize>,
 }
 
@@ -343,7 +344,7 @@ impl BenchRecord {
 }
 
 // Hand-written so the `host_parallelism` field is emitted only when
-// present: stamped shard records round-trip, every other record (and
+// present: stamped GA-scaling records round-trip, every other record (and
 // every committed baseline written before the field existed) keeps
 // its exact serialized form.
 impl Serialize for BenchRecord {
@@ -450,32 +451,18 @@ pub const GA_GATE_PREFIX: &str = "ga:gate:";
 /// visibility only.
 pub const GA_ABS_PREFIX: &str = "ga:abs:";
 
-/// Serving counterpart of [`HOTPATH_GATE_PREFIX`]: same-process
-/// speedup ratios from `serving_sweep --shard` (sharded-over-single
-/// serving walls), gated on throughput.
-pub const SERVING_GATE_PREFIX: &str = "serving:gate:";
-
-/// Serving counterpart of [`HOTPATH_ABS_PREFIX`]: absolute serving
-/// wall-clock rates (requests/sec per engine, chunked-vs-legacy
-/// arrival pacing), carried for visibility only.
-pub const SERVING_ABS_PREFIX: &str = "serving:abs:";
-
 /// `true` for trajectory records judged on **throughput** ratios
-/// (higher is better) instead of makespan: the `hotpath:gate:*`,
-/// `ga:gate:*` and `serving:gate:*` same-process speedup families.
+/// (higher is better) instead of makespan: the `hotpath:gate:*` and
+/// `ga:gate:*` same-process speedup families.
 pub fn gates_on_throughput(name: &str) -> bool {
-    name.starts_with(HOTPATH_GATE_PREFIX)
-        || name.starts_with(GA_GATE_PREFIX)
-        || name.starts_with(SERVING_GATE_PREFIX)
+    name.starts_with(HOTPATH_GATE_PREFIX) || name.starts_with(GA_GATE_PREFIX)
 }
 
 /// `true` for machine-dependent absolute records (`hotpath:abs:*`,
-/// `ga:abs:*`, `serving:abs:*`) that ride in the trajectory for
-/// visibility and are never gated — not even for presence.
+/// `ga:abs:*`) that ride in the trajectory for visibility and are
+/// never gated — not even for presence.
 pub fn is_ungated_abs(name: &str) -> bool {
-    name.starts_with(HOTPATH_ABS_PREFIX)
-        || name.starts_with(GA_ABS_PREFIX)
-        || name.starts_with(SERVING_ABS_PREFIX)
+    name.starts_with(HOTPATH_ABS_PREFIX) || name.starts_with(GA_ABS_PREFIX)
 }
 
 /// Compares a current perf trajectory against a committed baseline:
@@ -755,11 +742,9 @@ mod tests {
     fn ga_records_share_the_hotpath_gate_semantics() {
         assert!(gates_on_throughput("ga:gate:pop:1000:parallel-speedup"));
         assert!(gates_on_throughput("hotpath:gate:queue-speedup"));
-        assert!(gates_on_throughput("serving:gate:shard:ring2-r250k"));
         assert!(!gates_on_throughput("ga:abs:pop:100:serial"));
         assert!(is_ungated_abs("ga:abs:pop:100:serial"));
         assert!(is_ungated_abs("hotpath:abs:queue:calendar"));
-        assert!(is_ungated_abs("serving:abs:shard:ring2-r250k:single"));
         assert!(!is_ungated_abs("topology:x"));
         // Plain serving sweep records gate on makespan, as ever.
         assert!(!gates_on_throughput("serving:mlp-S-ring2-poisson-immediate:greedy"));
@@ -803,16 +788,17 @@ mod tests {
             throughput_ips: ips,
             host_parallelism: threads,
         };
-        // A shard-scaling gate measured on a 16-thread host must not
+        // A parallel-speedup gate measured on a 16-thread host must not
         // fail a run on a 1-thread host (or vice versa) — nor judge an
         // unstamped legacy baseline against a stamped run.
-        let baseline = vec![record("hotpath:gate:shard:ring:4", 2.0, Some(16))];
-        let collapsed = vec![record("hotpath:gate:shard:ring:4", 0.5, Some(1))];
+        let gate = "ga:gate:pop:1000:parallel-speedup";
+        let baseline = vec![record(gate, 2.0, Some(16))];
+        let collapsed = vec![record(gate, 0.5, Some(1))];
         assert!(check_against_baseline(&collapsed, &baseline, 0.2).is_empty());
-        let unstamped = vec![record("hotpath:gate:shard:ring:4", 0.5, None)];
+        let unstamped = vec![record(gate, 0.5, None)];
         assert!(check_against_baseline(&unstamped, &baseline, 0.2).is_empty());
         // Same host parallelism: the gate applies as usual.
-        let same_host = vec![record("hotpath:gate:shard:ring:4", 0.5, Some(16))];
+        let same_host = vec![record(gate, 0.5, Some(16))];
         assert_eq!(check_against_baseline(&same_host, &baseline, 0.2).len(), 1);
         // The stamp survives a serialize/deserialize round trip, and
         // its absence costs nothing (legacy baselines still parse).
@@ -853,13 +839,13 @@ mod tests {
         };
         let baseline = vec![
             record("serving:a", 100.0, 1.0, None),
-            record("hotpath:gate:speedup", 1.0, 4.0, Some(8)),
-            record("hotpath:abs:wall", 50.0, 2e6, Some(8)),
+            record("ga:gate:speedup", 1.0, 4.0, Some(8)),
+            record("ga:abs:wall", 50.0, 2e6, Some(8)),
             record("topology:gone", 10.0, 1.0, None),
         ];
         let current = vec![
             record("serving:a", 150.0, 1.0, None),
-            record("hotpath:gate:speedup", 1.0, 2.0, Some(4)),
+            record("ga:gate:speedup", 1.0, 2.0, Some(4)),
             record("serving:brand-new", 7.0, 1.0, None),
         ];
         let table = markdown_delta_table(&current, &baseline, 0.2);
@@ -872,11 +858,11 @@ mod tests {
         };
         // Ordinary records compare makespans.
         assert!(row("serving:a").contains("| 100.000 | 150.000 | 1.500 | gated |"));
-        // Hotpath gate records compare throughput — and a host
+        // Speedup gate records compare throughput — and a host
         // mismatch disarms the gate, exactly like the checker.
-        assert!(row("hotpath:gate:speedup").contains("| 4.000 | 2.000 | 0.500 |"));
-        assert!(row("hotpath:gate:speedup").contains("ungated (host"));
-        assert!(row("hotpath:abs:wall").contains("| ungated |"));
+        assert!(row("ga:gate:speedup").contains("| 4.000 | 2.000 | 0.500 |"));
+        assert!(row("ga:gate:speedup").contains("ungated (host"));
+        assert!(row("ga:abs:wall").contains("| ungated |"));
         assert!(row("topology:gone").contains("— | gated — missing |"));
         assert!(row("serving:brand-new").contains("new (ungated)"));
         assert!(table.contains("Tolerance: 20%"));

@@ -11,7 +11,8 @@
 //!   so same-time events process in schedule order and every run is
 //!   bit-reproducible,
 //! * [`Engine`] — the clock + queue + a registry of [`Component`]s
-//!   that react to events and schedule new ones,
+//!   that react to events and schedule new ones, run as one
+//!   single-threaded event loop ([`Engine::run_until_idle`]),
 //! * [`SimRng`] — a seeded xoshiro256** generator, the sole sanctioned
 //!   randomness source inside a simulation.
 //!
@@ -55,17 +56,13 @@ mod engine;
 mod graph;
 mod queue;
 mod rng;
-#[cfg(feature = "sharded")]
-mod shard;
 mod time;
 mod traffic;
 
-pub use engine::{Component, Engine, EngineCtx, RemoteEvent};
+pub use engine::{Component, Engine, EngineCtx};
 pub use graph::{ClaimKind, TaskGraph};
 pub use queue::{Event, EventQueue};
 pub use rng::SimRng;
-#[cfg(feature = "sharded")]
-pub use shard::{run_sharded, Boundary, ShardSession};
 pub use time::SimTime;
 pub use traffic::{ArrivalGen, TrafficModel};
 

@@ -47,7 +47,7 @@ mod error;
 mod stage;
 
 pub use error::SimError;
-pub use report::{ChipSimSummary, EngineMode, LinkStats, PartitionSimReport, SimReport};
+pub use report::{ChipSimSummary, LinkStats, PartitionSimReport, SimReport};
 pub use serve::{
     percentile, percentiles, BatchPolicy, RequestRecord, RequestTrace, ServingConfig,
     ServingReport, TrafficSpec, ADMISSION_LATENCY_NS,

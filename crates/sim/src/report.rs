@@ -125,33 +125,8 @@ pub struct ChipSimSummary {
     pub handoff_wait_ns: f64,
 }
 
-/// How a run was executed — provenance metadata so benchmarks and
-/// logs cannot misattribute single-threaded numbers to the sharded
-/// path (e.g. after a silent sharding fallback on a single-chip or
-/// zero-latency-link system).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EngineMode {
-    /// Every chip on one event loop.
-    SingleThread,
-    /// One engine thread per chip behind the conservative-lookahead
-    /// boundary.
-    Sharded {
-        /// Number of shard threads (one per chip).
-        shards: usize,
-    },
-}
-
-impl fmt::Display for EngineMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            EngineMode::SingleThread => write!(f, "single-thread"),
-            EngineMode::Sharded { shards } => write!(f, "sharded:{shards}"),
-        }
-    }
-}
-
 /// The full simulation result for one batch cycle.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimReport {
     /// Batch size simulated.
     pub batch: usize,
@@ -178,31 +153,6 @@ pub struct SimReport {
     /// Per-request serving section, present only for open-loop
     /// serving runs ([`crate::SystemSimulator::run_serving`]).
     pub serving: Option<crate::ServingReport>,
-    /// Effective execution mode (run metadata). Excluded from both
-    /// serialization and equality: sharded and single-threaded runs
-    /// of the same system must stay byte-identical and compare equal,
-    /// while logs and benchmarks can still see which engine produced
-    /// the numbers. `None` for reports assembled outside a run (e.g.
-    /// deserialized fixtures).
-    pub engine: Option<EngineMode>,
-}
-
-// `engine` is provenance, not a result: two runs of the same system
-// on different engines are *required* to agree on everything else, so
-// equality ignores it (see the byte-identity suites).
-impl PartialEq for SimReport {
-    fn eq(&self, other: &Self) -> bool {
-        self.batch == other.batch
-            && self.partitions == other.partitions
-            && self.makespan_ns == other.makespan_ns
-            && self.energy == other.energy
-            && self.dram_energy == other.dram_energy
-            && self.dram_trace == other.dram_trace
-            && self.dram_channels == other.dram_channels
-            && self.chips == other.chips
-            && self.links == other.links
-            && self.serving == other.serving
-    }
 }
 
 // Hand-written (de)serialization: the trailing `dram_channels`,
@@ -268,7 +218,6 @@ impl Deserialize for SimReport {
             chips: optional(value, "chips")?,
             links: optional(value, "links")?,
             serving: optional(value, "serving")?,
-            engine: None,
         })
     }
 }
@@ -347,7 +296,6 @@ mod tests {
             chips: None,
             links: None,
             serving: None,
-            engine: None,
         }
     }
 
@@ -450,19 +398,5 @@ mod tests {
         let mut again = String::new();
         back.serialize_json(&mut again);
         assert_eq!(serving, again, "serving reports round-trip byte-identically");
-    }
-
-    #[test]
-    fn engine_mode_is_metadata_only() {
-        let mut r = report();
-        let plain = serde_json::to_string(&r).unwrap();
-        r.engine = Some(EngineMode::Sharded { shards: 4 });
-        let stamped = serde_json::to_string(&r).unwrap();
-        assert_eq!(plain, stamped, "engine mode must never leak into serialized reports");
-        let mut other = report();
-        other.engine = Some(EngineMode::SingleThread);
-        assert_eq!(r, other, "equality ignores the engine stamp");
-        assert_eq!(EngineMode::Sharded { shards: 4 }.to_string(), "sharded:4");
-        assert_eq!(EngineMode::SingleThread.to_string(), "single-thread");
     }
 }

@@ -345,16 +345,8 @@ pub fn percentiles(sample: &mut [f64], qs: &[f64]) -> Vec<f64> {
 /// `t + ADMISSION_LATENCY_NS`. The value is an exact binary fraction
 /// (2⁻¹², ~0.24 ps) so the addition is lossless against every
 /// realistic simulated timestamp, and it is far below any physical
-/// latency in the model, so it never reorders real work.
-///
-/// The strictly positive delay is load-bearing for sharded serving:
-/// it is what gives the conservative shard protocol a non-zero edge
-/// weight between "the buffer cuts a batch" and "a chip receives the
-/// appended round". With a zero-latency admission, a shard whose next
-/// event is the round it is itself waiting for would need a window
-/// strictly past its own frontier — a zero-weight cycle the lookahead
-/// protocol cannot break. Both engines apply the same delay, so their
-/// reports stay byte-identical.
+/// latency in the model, so it never reorders real work. The pinned
+/// serving timeline (every serving report's bytes) includes it.
 pub const ADMISSION_LATENCY_NS: f64 = 1.0 / 4096.0;
 
 /// The open-loop request source: schedules its arrival schedule one
@@ -407,38 +399,20 @@ impl Component<ChipEvent> for RequestSource {
     }
 }
 
-/// Where a [`BufferCore`] transition's side effects land. The core is
-/// a pure state machine shared by both execution engines; the sink is
-/// what differs — the single-threaded engine schedules real events,
-/// the sharded boundary queues admissions for cross-shard release and
-/// arms its own timer heap. Keeping every effect behind this trait is
-/// what makes the two engines' serving reports byte-identical: there
-/// is exactly one copy of the batching logic.
-pub(crate) trait AdmissionSink {
-    /// Deliver one appended round to every active chip. The cut
-    /// happened at `cut_ns`; delivery is at
-    /// `cut_ns + `[`ADMISSION_LATENCY_NS`].
-    fn admit_round(&mut self, cut_ns: f64);
-
-    /// Arm the flush timer for `due_ns`, carrying `generation` so a
-    /// stale timer can be recognized and ignored when it fires.
-    fn arm_deadline(&mut self, due_ns: f64, generation: u64);
-}
-
-/// The engine-independent request-buffer state machine: queues
-/// arrivals under admission control, cuts batches per the
-/// [`BatchPolicy`], and counts per-chip round completions for the
-/// in-flight backpressure limit. Each transition takes the current
-/// instant and an [`AdmissionSink`] for its effects; the transition
-/// order is the caller's responsibility (the single engine's event
-/// queue, or the sharded frontend's merged arrival/timer/completion
-/// stream).
-pub(crate) struct BufferCore {
+/// The request buffer + dispatcher component: queues arrivals under
+/// admission control, cuts batches per the [`BatchPolicy`], and counts
+/// per-chip round completions for the in-flight backpressure limit.
+/// Each cut schedules one [`ChipEvent::AppendRound`] per active chip
+/// [`ADMISSION_LATENCY_NS`] later; deadline timers are
+/// [`ChipEvent::FlushDeadline`] self-events.
+pub(crate) struct RequestBuffer {
     policy: BatchPolicy,
     queue_capacity: usize,
     max_inflight: usize,
     /// Active chip indices, in admission fan-out order.
-    pub(crate) chips: Vec<usize>,
+    chips: Vec<usize>,
+    /// The active chips' sequencers, parallel to `chips`.
+    sequencers: Vec<ComponentId>,
     /// Rounds each active chip has completed, parallel to `chips`.
     completed: Vec<usize>,
     /// Arrival instants of queued requests, oldest first.
@@ -460,15 +434,21 @@ pub(crate) struct BufferCore {
     pub(crate) dropped: usize,
 }
 
-impl BufferCore {
-    pub(crate) fn new(config: &ServingConfig, chips: Vec<usize>) -> Self {
-        let completed = vec![0; chips.len()];
+impl RequestBuffer {
+    /// A buffer serving `config` on the `chips` (ascending), whose
+    /// sequencers are `sequencers` indexed by chip.
+    pub(crate) fn new(
+        config: &ServingConfig,
+        chips: Vec<usize>,
+        sequencers: &[ComponentId],
+    ) -> Self {
         Self {
             policy: config.policy,
             queue_capacity: config.queue_capacity,
             max_inflight: config.max_inflight,
+            sequencers: chips.iter().map(|&c| sequencers[c]).collect(),
+            completed: vec![0; chips.len()],
             chips,
-            completed,
             queue: Vec::new(),
             generation: 0,
             deadline_due: false,
@@ -498,72 +478,9 @@ impl BufferCore {
         }
     }
 
-    /// Whether the next cut is waiting on a round completion: a batch
-    /// is due but every in-flight slot is taken, so the next
-    /// admission will be triggered by a [`Self::on_round_done`]. The
-    /// sharded frontend folds this into its admission horizon — it is
-    /// the only state in which a chip's own progress can move the
-    /// buffer.
-    #[cfg_attr(not(feature = "sharded"), allow(dead_code))]
-    pub(crate) fn awaiting_capacity(&self) -> bool {
-        self.batch_due() && self.inflight() >= self.max_inflight
-    }
-
-    /// A request arrived at `now_ns`.
-    pub(crate) fn on_new_request(&mut self, now_ns: f64, sink: &mut dyn AdmissionSink) {
-        if self.queue.len() >= self.queue_capacity {
-            self.dropped += 1;
-            return;
-        }
-        self.queue.push(now_ns);
-        if self.queue.len() == 1 {
-            self.arm_deadline(now_ns, sink);
-        }
-        self.try_cut(now_ns, sink);
-    }
-
-    /// The source emitted its last arrival (at `now_ns`).
-    pub(crate) fn on_source_drained(&mut self, now_ns: f64, sink: &mut dyn AdmissionSink) {
-        self.drained = true;
-        self.try_cut(now_ns, sink);
-    }
-
-    /// A flush timer fired at `now_ns`; stale generations are ignored.
-    pub(crate) fn on_flush_deadline(
-        &mut self,
-        generation: u64,
-        now_ns: f64,
-        sink: &mut dyn AdmissionSink,
-    ) {
-        if generation != self.generation {
-            return;
-        }
-        self.deadline_due = true;
-        self.try_cut(now_ns, sink);
-    }
-
-    /// Chip `chip` finished one round at `now_ns`.
-    pub(crate) fn on_round_done(&mut self, chip: usize, now_ns: f64, sink: &mut dyn AdmissionSink) {
-        let slot = self
-            .chips
-            .iter()
-            .position(|&c| c == chip)
-            .expect("round reports come from registered sequencers");
-        self.completed[slot] += 1;
-        self.try_cut(now_ns, sink);
-    }
-
-    /// Cuts every batch that is due and fits under the in-flight
-    /// limit.
-    fn try_cut(&mut self, now_ns: f64, sink: &mut dyn AdmissionSink) {
-        while self.inflight() < self.max_inflight && self.batch_due() {
-            self.cut(now_ns, sink);
-        }
-    }
-
     /// Cuts one batch: admits the oldest queued requests as round
     /// `formed` and broadcasts the round to every active chip.
-    fn cut(&mut self, now_ns: f64, sink: &mut dyn AdmissionSink) {
+    fn cut(&mut self, me: ComponentId, ctx: &mut EngineCtx<'_, ChipEvent>) {
         let take = self.queue.len().min(self.policy.max_batch());
         let round = self.formed;
         self.formed += 1;
@@ -572,77 +489,58 @@ impl BufferCore {
         }
         self.generation += 1;
         self.deadline_due = false;
-        sink.admit_round(now_ns);
-        self.arm_deadline(now_ns, sink);
+        let at = SimTime::from_ns(ctx.now().as_ns() + ADMISSION_LATENCY_NS);
+        for &sequencer in &self.sequencers {
+            ctx.schedule(at, sequencer, ChipEvent::AppendRound);
+        }
+        self.arm_deadline(me, ctx);
     }
 
     /// (Re)arms the flush timer for the oldest queued request, if the
     /// policy has one.
-    fn arm_deadline(&mut self, now_ns: f64, sink: &mut dyn AdmissionSink) {
+    fn arm_deadline(&mut self, me: ComponentId, ctx: &mut EngineCtx<'_, ChipEvent>) {
         let BatchPolicy::Deadline { timeout_ns, .. } = self.policy else { return };
         let Some(&oldest) = self.queue.first() else { return };
-        sink.arm_deadline((oldest + timeout_ns).max(now_ns), self.generation);
-    }
-}
-
-/// The [`AdmissionSink`] of the single-threaded engine: admissions
-/// become [`ChipEvent::AppendRound`]s scheduled
-/// [`ADMISSION_LATENCY_NS`] after the cut, deadline timers become
-/// [`ChipEvent::FlushDeadline`] self-events.
-struct EngineSink<'a, 'b> {
-    me: ComponentId,
-    sequencers: &'a [ComponentId],
-    ctx: &'a mut EngineCtx<'b, ChipEvent>,
-}
-
-impl AdmissionSink for EngineSink<'_, '_> {
-    fn admit_round(&mut self, cut_ns: f64) {
-        let at = SimTime::from_ns(cut_ns + ADMISSION_LATENCY_NS);
-        for &sequencer in self.sequencers {
-            self.ctx.schedule(at, sequencer, ChipEvent::AppendRound);
-        }
-    }
-
-    fn arm_deadline(&mut self, due_ns: f64, generation: u64) {
-        self.ctx.schedule(
-            SimTime::from_ns(due_ns),
-            self.me,
-            ChipEvent::FlushDeadline { generation },
-        );
-    }
-}
-
-/// The request buffer + dispatcher component of the single-threaded
-/// engine: a [`BufferCore`] wired to real engine events. The sharded
-/// path has no buffer component at all — the boundary holds the same
-/// core and drives it from its merged frontend stream.
-pub(crate) struct RequestBuffer {
-    pub(crate) core: BufferCore,
-    /// Active sequencer addresses, parallel to the core's chip list.
-    sequencers: Vec<ComponentId>,
-}
-
-impl RequestBuffer {
-    /// Wires `core` to its active chips' sequencers, `sequencers`
-    /// indexed by chip.
-    pub(crate) fn new(core: BufferCore, sequencers: &[ComponentId]) -> Self {
-        let sequencers = core.chips.iter().map(|&c| sequencers[c]).collect();
-        Self { core, sequencers }
+        let due = SimTime::from_ns((oldest + timeout_ns).max(ctx.now().as_ns()));
+        ctx.schedule(due, me, ChipEvent::FlushDeadline { generation: self.generation });
     }
 }
 
 impl Component<ChipEvent> for RequestBuffer {
     fn on_event(&mut self, event: Event<ChipEvent>, ctx: &mut EngineCtx<'_, ChipEvent>) {
-        let now_ns = event.time.as_ns();
-        let mut sink = EngineSink { me: event.target, sequencers: &self.sequencers, ctx };
+        let me = event.target;
         match event.payload {
-            ChipEvent::NewRequest => self.core.on_new_request(now_ns, &mut sink),
-            ChipEvent::SourceDrained => self.core.on_source_drained(now_ns, &mut sink),
-            ChipEvent::FlushDeadline { generation } => {
-                self.core.on_flush_deadline(generation, now_ns, &mut sink)
+            ChipEvent::NewRequest => {
+                if self.queue.len() >= self.queue_capacity {
+                    self.dropped += 1;
+                    return;
+                }
+                self.queue.push(event.time.as_ns());
+                if self.queue.len() == 1 {
+                    self.arm_deadline(me, ctx);
+                }
             }
-            ChipEvent::RoundDone { chip } => self.core.on_round_done(chip, now_ns, &mut sink),
+            ChipEvent::SourceDrained => self.drained = true,
+            ChipEvent::FlushDeadline { generation } => {
+                if generation != self.generation {
+                    return;
+                }
+                self.deadline_due = true;
+            }
+            ChipEvent::RoundDone { chip } => {
+                let slot = self
+                    .chips
+                    .iter()
+                    .position(|&c| c == chip)
+                    .expect("round reports come from registered sequencers");
+                self.completed[slot] += 1;
+            }
             other => unreachable!("request buffer received {other:?}"),
+        }
+        // Cut every batch that is due and fits under the in-flight
+        // limit.
+        while self.inflight() < self.max_inflight && self.batch_due() {
+            self.cut(me, ctx);
         }
     }
 

@@ -24,23 +24,15 @@
 //! producer. Topology slots may override the system's base
 //! [`ChipSpec`] for heterogeneous systems.
 //!
-//! Every run registers the same global component layout
-//! ([`SystemLayout`]): per chip `[dram?, rendezvous, channel, bus]`,
-//! then the interconnect, one sequencer per chip, and — for serving
-//! runs — the request buffer and the request source. Two things vary
-//! around it:
-//!
-//! * **The round source.** [`SystemSimulator::run`] builds a fixed
-//!   round count into every stage graph up front.
-//!   [`SystemSimulator::run_serving`] starts the graphs empty: the
-//!   request source schedules its arrivals one at a time, and the
-//!   request buffer appends one round per admitted batch.
-//! * **The executor.** One engine hosts every slot, or — with the
-//!   `sharded` feature — one engine thread per chip hosts only its
-//!   chip's slots and pads the rest, so every component keeps its
-//!   global id. The interconnect and the serving frontend then live on
-//!   the shard boundary ([`ShardBoundary`]). Both executors fold to
-//!   byte-identical reports.
+//! Every run registers the same component layout ([`SystemLayout`]) on
+//! one engine: per chip `[dram?, rendezvous, channel, bus]`, then the
+//! interconnect, one sequencer per chip, and — for serving runs — the
+//! request buffer and the request source. Only the round source
+//! varies: [`SystemSimulator::run`] builds a fixed round count into
+//! every stage graph up front, while [`SystemSimulator::run_serving`]
+//! starts the graphs empty, the request source schedules its arrivals
+//! one at a time, and the request buffer appends one round per
+//! admitted batch.
 //!
 //! The single-chip [`crate::ChipSimulator`] is a thin wrapper over
 //! this machinery with a [`Topology::single`] system; its analytic
@@ -51,28 +43,16 @@ use crate::components::{
     Rendezvous,
 };
 use crate::error::SimError;
-use crate::report::{
-    ChipSimSummary, CoreActivity, EngineMode, LinkStats, PartitionSimReport, SimReport,
-};
+use crate::report::{ChipSimSummary, CoreActivity, LinkStats, PartitionSimReport, SimReport};
 use crate::serve::{
-    percentiles, BufferCore, RequestBuffer, RequestRecord, RequestSource, ServingConfig,
-    ServingReport,
+    percentiles, RequestBuffer, RequestRecord, RequestSource, ServingConfig, ServingReport,
 };
-#[cfg(feature = "sharded")]
-use crate::serve::{AdmissionSink, ADMISSION_LATENCY_NS};
 use crate::stage::StageGraph;
 use pim_arch::{ChipSpec, EnergyModel, Link, PowerBreakdown, ScheduleMode, TimingMode, Topology};
 use pim_dram::{DramConfig, DramEnergy, TraceStats};
 use pim_engine::{Component, ComponentId, Engine, EngineCtx, Event, SimTime};
 use pim_isa::{ChipProgram, CoreId};
 use std::any::Any;
-#[cfg(feature = "sharded")]
-use std::cmp::Reverse;
-#[cfg(feature = "sharded")]
-use std::collections::BinaryHeap;
-
-#[cfg(feature = "sharded")]
-use pim_engine::RemoteEvent;
 
 /// Closed-loop address-interleave granularity: two LPDDR3 rows per
 /// stripe keeps sequential streams row-friendly while still spreading
@@ -158,8 +138,6 @@ pub struct SystemSimulator {
     dram_reorder: bool,
     #[cfg(feature = "reference-queue")]
     reference_queue: bool,
-    #[cfg(feature = "sharded")]
-    sharded: bool,
 }
 
 impl SystemSimulator {
@@ -177,20 +155,7 @@ impl SystemSimulator {
             dram_reorder: false,
             #[cfg(feature = "reference-queue")]
             reference_queue: false,
-            #[cfg(feature = "sharded")]
-            sharded: std::env::var("PIM_SHARDED").map(|v| v == "1").unwrap_or(false),
         }
-    }
-
-    /// Runs multi-chip simulations with one event-loop thread per chip
-    /// shard (conservative link-latency lookahead; reports stay
-    /// byte-identical to the single-threaded engine). Defaults to the
-    /// `PIM_SHARDED=1` environment switch. Single-chip topologies have
-    /// no links to synchronize over and always run single-threaded.
-    #[cfg(feature = "sharded")]
-    pub fn with_sharded(mut self, enabled: bool) -> Self {
-        self.sharded = enabled;
-        self
     }
 
     /// Runs the simulation on the engine's retired binary-heap event
@@ -389,17 +354,9 @@ impl SystemSimulator {
     /// p50/p99/p999 latency, queueing delay, goodput and drops — and
     /// `batch` reflects the requests actually served.
     ///
-    /// Serving runs are deterministic per traffic seed on *either*
-    /// executor. When sharding is requested and honoured, the
-    /// admission frontend (source + buffer) moves onto the shard
-    /// boundary: the arrival stream's next-arrival lower bound —
-    /// advanced by the [`crate::ADMISSION_LATENCY_NS`] admission delay
-    /// — joins the in-flight transfer tails as a horizon term, admitted
-    /// rounds ship to the shards as ordered remote events, and the
-    /// report is byte-identical to the single-threaded oracle. The
-    /// fallback reasons (single chip, zero-latency link) are exactly
-    /// [`Self::run`]'s, recorded in [`SimReport::engine`] and noted
-    /// once per process.
+    /// Serving runs are deterministic per traffic seed. Each admitted
+    /// round reaches the chips [`crate::ADMISSION_LATENCY_NS`] after
+    /// the buffer cuts it.
     ///
     /// # Errors
     ///
@@ -424,51 +381,42 @@ impl SystemSimulator {
                 "every chip is idle; nothing can serve the request stream".into(),
             ));
         }
-        let frontend = Frontend { core: BufferCore::new(serving, active), arrivals };
+        let frontend = Frontend { config: serving, active, arrivals };
         self.simulate(loads, 0, Some(frontend), |mut outcome| {
-            let core = outcome.frontend.take().expect("serving runs keep their frontend");
-            self.fold_serving_report(loads, serving, core, outcome)
+            let buffer = outcome.buffer.take().expect("serving runs keep their request buffer");
+            self.fold_serving_report(loads, serving, buffer, outcome)
         })
     }
 
-    /// Runs the system layout on the executor in effect — one engine
-    /// thread per chip when sharding is requested and honoured, one
-    /// engine otherwise — and hands the outcome to `fold`. `rounds`
-    /// rounds are built in up front; a `frontend` appends the rest as
-    /// it admits batches.
+    /// Builds the system layout on one engine, runs it until idle and
+    /// hands the outcome to `fold`. `rounds` rounds are built in up
+    /// front; a `frontend` appends the rest as it admits batches.
+    ///
+    /// `fold` runs while the engine is still alive. The engine holds
+    /// every core the run spawned (hundreds of MB after a long serving
+    /// run), and dropping it before the fold changes which memory the
+    /// report reuses: measured on a 2-thread x86-64 Linux host, a
+    /// resnet18 compile right after a 4,096-request serving call then
+    /// took about 4x longer (0.3 → 1.3 ms).
     fn simulate<R>(
         &self,
         loads: &[ChipLoad<'_>],
         rounds: usize,
-        frontend: Option<Frontend>,
+        frontend: Option<Frontend<'_>>,
         fold: impl FnOnce(RunOutcome) -> R,
     ) -> R {
         let layout = SystemLayout::new(loads.len(), self.has_dram(), frontend.is_some());
-        #[cfg(feature = "sharded")]
-        if self.sharded {
-            match self.shard_fallback_reason(loads) {
-                None => return fold(self.run_sharded(loads, &layout, rounds, frontend)),
-                Some(reason) => note_shard_fallback(reason),
-            }
-        }
-        self.run_single(loads, &layout, rounds, frontend, fold)
-    }
-
-    /// Why a sharding request cannot be honoured for this system, if
-    /// it cannot: single-chip systems have nothing to parallelize, and
-    /// a zero-latency link admits no conservative lookahead window.
-    /// `None` means the sharded path will run. The effective mode is
-    /// always recorded in [`SimReport::engine`], so benchmarks cannot
-    /// misattribute single-threaded numbers to the sharded path.
-    #[cfg(feature = "sharded")]
-    fn shard_fallback_reason(&self, loads: &[ChipLoad<'_>]) -> Option<&'static str> {
-        if loads.len() <= 1 {
-            return Some("the system has a single chip, so there is nothing to parallelize");
-        }
-        if !self.topology.min_link_latency_ns().is_some_and(|latency| latency > 0.0) {
-            return Some("a zero-latency link admits no conservative lookahead window");
-        }
-        None
+        let mut engine = self.build_engine(loads, &layout, rounds, frontend);
+        engine.run_until_idle();
+        let buffer =
+            layout.buffer.map(|id| engine.extract(id).expect("request buffer survives the run"));
+        // Chip outcomes come out before the interconnect: the reverse
+        // order raised the closed-loop benchmark's peak RSS by ~9% over
+        // a 40 s run (allocator fragmentation, same host as above).
+        let chips = (0..loads.len()).map(|c| self.chip_outcome(&mut engine, &layout, c)).collect();
+        let interconnect: InterconnectComponent =
+            engine.extract(layout.interconnect).expect("interconnect survives the run");
+        fold(RunOutcome { chips, links: interconnect.stats, buffer })
     }
 
     /// Peak concurrently-live stage cores of one chip's load under
@@ -482,99 +430,78 @@ impl SystemSimulator {
         }
     }
 
-    /// The event-queue pre-size for an engine hosting the `hosted`
-    /// chips, and the serving frontend when `frontend` is set. It is
-    /// derived from *peak pending* events: each live component (a core
-    /// of an in-flight stage, the shared channel/bus/rendezvous/DRAM
-    /// per chip, the interconnect) keeps only a bounded handful of
-    /// events in flight, and the frontend holds one pending arrival,
-    /// its drain marker and the admission fan-out. So peak occupancy
-    /// scales with concurrent components — not with instructions ×
-    /// rounds, which measures throughput. A hint only; the queue grows
-    /// past it transparently.
-    fn event_capacity(&self, hosted: &[ChipLoad<'_>], frontend: bool) -> usize {
-        let stage_cores: usize = hosted.iter().map(|l| self.stage_cores_of(l)).sum();
-        let frontend = usize::from(frontend) * (2 + 2 * hosted.len());
-        ((stage_cores + 8 * hosted.len()) * 8 + frontend).clamp(256, 1 << 16)
+    /// The event-queue pre-size for the system's engine, with the
+    /// serving frontend when `frontend` is set. It is derived from
+    /// *peak pending* events: each live component (a core of an
+    /// in-flight stage, the shared channel/bus/rendezvous/DRAM per
+    /// chip, the interconnect) keeps only a bounded handful of events
+    /// in flight, and the frontend holds one pending arrival, its drain
+    /// marker and the admission fan-out. So peak occupancy scales with
+    /// concurrent components — not with instructions × rounds, which
+    /// measures throughput. A hint only; the queue grows past it
+    /// transparently.
+    fn event_capacity(&self, loads: &[ChipLoad<'_>], frontend: bool) -> usize {
+        let stage_cores: usize = loads.iter().map(|l| self.stage_cores_of(l)).sum();
+        let frontend = usize::from(frontend) * (2 + 2 * loads.len());
+        ((stage_cores + 8 * loads.len()) * 8 + frontend).clamp(256, 1 << 16)
     }
 
-    /// Builds one engine of a run: its queue pre-sized for what it
-    /// hosts, every slot of `layout` filled in id order — registered
-    /// when `host` owns it, padded otherwise — and the opening kicks of
-    /// its sequencers and request source. This is the only place
-    /// components are registered, for both executors and both round
-    /// sources.
+    /// Builds the engine of a run: its queue pre-sized for the system,
+    /// every slot of `layout` registered in id order, and the opening
+    /// kicks of the sequencers and the request source. This is the
+    /// only place components are registered, for both round sources.
     fn build_engine(
         &self,
         loads: &[ChipLoad<'_>],
         layout: &SystemLayout,
         rounds: usize,
-        host: Host,
+        frontend: Option<Frontend<'_>>,
     ) -> Engine<ChipEvent> {
-        let (hosted, frontend, shard): (_, _, Option<usize>) = match host {
-            Host::Whole(frontend) => (loads, frontend, None),
-            #[cfg(feature = "sharded")]
-            Host::Shard(c) => (std::slice::from_ref(&loads[c]), None, Some(c)),
-        };
-        let owns = |c: usize| shard.is_none_or(|own| own == c);
-        let serves = frontend.is_some();
         let mut engine: Engine<ChipEvent> = Engine::new(0);
         #[cfg(feature = "reference-queue")]
         if self.reference_queue {
             engine.use_reference_queue();
         }
-        engine.reserve_events(self.event_capacity(hosted, serves));
-        if shard.is_some() {
-            // Events for vacant slots export to the shard boundary.
-            engine.enable_exports();
-        }
+        engine.reserve_events(self.event_capacity(loads, frontend.is_some()));
         for (c, parts) in layout.chips.iter().enumerate() {
-            let (chip, mine) = (self.chip_for(c), owns(c));
+            let chip = self.chip_for(c);
             if let Some(id) = parts.dram {
                 match self.mode {
-                    TimingMode::Analytic => place(&mut engine, id, mine.then(InlineDram::new)),
+                    TimingMode::Analytic => place(&mut engine, id, InlineDram::new()),
                     TimingMode::ClosedLoop => place(
                         &mut engine,
                         id,
-                        mine.then(|| {
-                            ClosedLoopDram::new(
-                                self.dram_channel_count_for(chip),
-                                DEFAULT_INTERLEAVE_BYTES,
-                                self.dram_reorder,
-                            )
-                        }),
+                        ClosedLoopDram::new(
+                            self.dram_channel_count_for(chip),
+                            DEFAULT_INTERLEAVE_BYTES,
+                            self.dram_reorder,
+                        ),
                     ),
                 }
             }
-            place(&mut engine, parts.rendezvous, mine.then(Rendezvous::default));
-            place(
-                &mut engine,
-                parts.channel,
-                mine.then(|| MemChannel::new(chip, parts.dram, self.mode)),
-            );
-            place(&mut engine, parts.bus, mine.then(|| BusComponent::new(chip, parts.rendezvous)));
+            place(&mut engine, parts.rendezvous, Rendezvous::default());
+            place(&mut engine, parts.channel, MemChannel::new(chip, parts.dram, self.mode));
+            place(&mut engine, parts.bus, BusComponent::new(chip, parts.rendezvous));
         }
-        let interconnect =
-            shard.is_none().then(|| InterconnectComponent::new(&self.topology, &layout.sequencers));
-        place(&mut engine, layout.interconnect, interconnect);
+        place(
+            &mut engine,
+            layout.interconnect,
+            InterconnectComponent::new(&self.topology, &layout.sequencers),
+        );
         for (c, &id) in layout.sequencers.iter().enumerate() {
-            place(&mut engine, id, owns(c).then(|| self.sequencer_for(c, loads, rounds, layout)));
+            place(&mut engine, id, self.sequencer_for(c, loads, rounds, layout));
         }
-        if let (Some(buffer), Some(source)) = (layout.buffer, layout.source) {
-            let (core, arrivals) = frontend.map(|f| (f.core, f.arrivals)).unzip();
-            place(
-                &mut engine,
-                buffer,
-                core.map(|core| RequestBuffer::new(core, &layout.sequencers)),
-            );
-            place(&mut engine, source, arrivals.map(|a| RequestSource::new(a, buffer)));
+        if let (Some(buffer), Some(source), Some(frontend)) =
+            (layout.buffer, layout.source, frontend)
+        {
+            let Frontend { config, active, arrivals } = frontend;
+            place(&mut engine, buffer, RequestBuffer::new(config, active, &layout.sequencers));
+            place(&mut engine, source, RequestSource::new(arrivals, buffer));
         }
-        for (c, &id) in layout.sequencers.iter().enumerate() {
-            if owns(c) {
-                engine.schedule(SimTime::ZERO, id, ChipEvent::Kick);
-            }
+        for &id in &layout.sequencers {
+            engine.schedule(SimTime::ZERO, id, ChipEvent::Kick);
         }
-        if let Some(source) = layout.source.filter(|_| serves) {
+        if let Some(source) = layout.source {
             engine.schedule(SimTime::ZERO, source, ChipEvent::Kick);
         }
         engine
@@ -623,102 +550,30 @@ impl SystemSimulator {
         }
     }
 
-    /// The single-threaded executor: every slot of the layout on one
-    /// engine, one event loop — the byte-identity oracle the sharded
-    /// executor is tested against.
-    ///
-    /// `fold` runs while the engine is still alive. The engine holds
-    /// every core the run spawned (hundreds of MB after a long serving
-    /// run), and dropping it before the fold changes which memory the
-    /// report reuses: measured on a 2-thread x86-64 Linux host, a
-    /// resnet18 compile right after a 4,096-request serving call then
-    /// took about 4x longer (0.3 → 1.3 ms).
-    fn run_single<R>(
-        &self,
-        loads: &[ChipLoad<'_>],
-        layout: &SystemLayout,
-        rounds: usize,
-        frontend: Option<Frontend>,
-        fold: impl FnOnce(RunOutcome) -> R,
-    ) -> R {
-        let mut engine = self.build_engine(loads, layout, rounds, Host::Whole(frontend));
-        engine.run_until_idle();
-        let frontend = layout.buffer.map(|id| {
-            let buffer: RequestBuffer =
-                engine.extract(id).expect("request buffer survives the run");
-            buffer.core
-        });
-        // Chip outcomes come out before the interconnect: the reverse
-        // order raised the closed-loop benchmark's peak RSS by ~9% over
-        // a 40 s run (allocator fragmentation, same host as above).
-        let chips = (0..loads.len()).map(|c| self.chip_outcome(&mut engine, layout, c)).collect();
-        let interconnect: InterconnectComponent =
-            engine.extract(layout.interconnect).expect("interconnect survives the run");
-        fold(RunOutcome {
-            chips,
-            links: interconnect.stats,
-            frontend,
-            engine: EngineMode::SingleThread,
-        })
-    }
-
-    /// The sharded executor: one engine thread per chip, synchronized
-    /// through the [`ShardBoundary`] with dynamic per-chip lookahead
-    /// derived from the declared hand-off graph, each route's
-    /// serialization + propagation, the tails of in-flight transfers
-    /// and — for serving runs — the rounds the frontend could still
-    /// admit. Component ids, event times, link accounting and
-    /// admissions reproduce the single engine exactly, so the folded
-    /// report is byte-identical.
-    #[cfg(feature = "sharded")]
-    fn run_sharded(
-        &self,
-        loads: &[ChipLoad<'_>],
-        layout: &SystemLayout,
-        rounds: usize,
-        frontend: Option<Frontend>,
-    ) -> RunOutcome {
-        let mut boundary = ShardBoundary::new(&self.topology, loads, layout, frontend);
-        let shards: Vec<_> = (0..loads.len())
-            .map(|c| {
-                move |session: pim_engine::ShardSession<ChipEvent>| -> ChipOutcome {
-                    let mut engine = self.build_engine(loads, layout, rounds, Host::Shard(c));
-                    session.drive(&mut engine);
-                    self.chip_outcome(&mut engine, layout, c)
-                }
-            })
-            .collect();
-        let chips = pim_engine::run_sharded(shards, &mut boundary);
-        let (links, frontend) = boundary.into_parts();
-        RunOutcome { chips, links, frontend, engine: EngineMode::Sharded { shards: loads.len() } }
-    }
-
-    /// Folds a finished serving run — the frontend's admission ledger
-    /// plus the per-chip outcomes — into the final report. Identical
-    /// ledgers and outcomes fold to identical bytes, whatever executor
-    /// produced them.
+    /// Folds a finished serving run — the request buffer's admission
+    /// ledger plus the per-chip outcomes — into the final report.
     fn fold_serving_report(
         &self,
         loads: &[ChipLoad<'_>],
         serving: &ServingConfig,
-        core: BufferCore,
+        buffer: RequestBuffer,
         outcome: RunOutcome,
     ) -> Result<SimReport, SimError> {
         // Round spans — folded from the stage records *before*
         // fold_report consumes the outcomes. A round starts when its
         // first stage starts anywhere and finishes when its last stage
         // drains on the slowest chip.
-        let mut round_start = vec![f64::INFINITY; core.formed];
-        let mut round_finish = vec![0.0f64; core.formed];
+        let mut round_start = vec![f64::INFINITY; buffer.formed];
+        let mut round_finish = vec![0.0f64; buffer.formed];
         for chip in &outcome.chips {
             for record in &chip.sequencer.records {
                 round_start[record.round] = round_start[record.round].min(record.start_ns);
                 round_finish[record.round] = round_finish[record.round].max(record.end_ns);
             }
         }
-        let mut report = self.fold_report(loads, core.formed.max(1), 1, outcome)?;
+        let mut report = self.fold_report(loads, buffer.formed.max(1), 1, outcome)?;
 
-        let records: Vec<RequestRecord> = core
+        let records: Vec<RequestRecord> = buffer
             .admitted
             .iter()
             .map(|&(arrival_ns, round)| RequestRecord {
@@ -748,8 +603,8 @@ impl SystemSimulator {
         report.batch = records.len().max(1);
         report.serving = Some(ServingReport {
             requests: records.len(),
-            dropped: core.dropped,
-            rounds: core.formed,
+            dropped: buffer.dropped,
+            rounds: buffer.formed,
             p50_ns: tails[0],
             p99_ns: tails[1],
             p999_ns: tails[2],
@@ -762,9 +617,8 @@ impl SystemSimulator {
     }
 
     /// Extracts everything the report fold needs about chip `c` from
-    /// its (drained or stalled) engine — the hand-off from simulation
-    /// to accounting, engine-free so sharded workers can produce it
-    /// on their own threads.
+    /// the (drained or stalled) engine — the hand-off from simulation
+    /// to accounting.
     fn chip_outcome(
         &self,
         engine: &mut Engine<ChipEvent>,
@@ -801,9 +655,8 @@ impl SystemSimulator {
         ChipOutcome { sequencer, channel, rendezvous, inline_dram, closed_dram, stalled_cores }
     }
 
-    /// Folds a run's per-chip outcomes into one [`SimReport`], stamped
-    /// with the executor that ran it. Identical outcomes fold to
-    /// identical bytes.
+    /// Folds a run's per-chip outcomes into one [`SimReport`].
+    /// Identical outcomes fold to identical bytes.
     fn fold_report(
         &self,
         loads: &[ChipLoad<'_>],
@@ -811,7 +664,7 @@ impl SystemSimulator {
         samples_per_round: usize,
         outcome: RunOutcome,
     ) -> Result<SimReport, SimError> {
-        let RunOutcome { chips: mut outcomes, links, engine, .. } = outcome;
+        let RunOutcome { chips: mut outcomes, links, .. } = outcome;
         let chips = loads.len();
         if outcomes.iter().any(|o| !o.sequencer.graph.all_complete()) {
             return Err(deadlock_of(&outcomes));
@@ -929,25 +782,7 @@ impl SystemSimulator {
             links: (!self.topology.is_single()).then_some(links),
             // Serving runs attach their section after the fold.
             serving: None,
-            engine: Some(engine),
         })
-    }
-}
-
-/// Prints a once-per-process note that a sharding request fell back
-/// to the single-threaded engine. The report still records the
-/// effective mode ([`SimReport::engine`]); the note exists so
-/// interactive runs and benchmark logs surface the fallback without
-/// anyone inspecting report metadata.
-#[cfg(feature = "sharded")]
-fn note_shard_fallback(reason: &str) {
-    use std::sync::atomic::{AtomicBool, Ordering};
-    static NOTED: AtomicBool = AtomicBool::new(false);
-    if !NOTED.swap(true, Ordering::Relaxed) {
-        eprintln!(
-            "pim-sim note: sharded execution was requested, but {reason}; \
-             running on the single-threaded engine (reported once per process)"
-        );
     }
 }
 
@@ -975,11 +810,8 @@ fn deadlock_of(outcomes: &[ChipOutcome]) -> SimError {
 /// The global component-id layout of a run, computed once: per chip
 /// `[dram?, rendezvous, channel, bus]`, then the interconnect, one
 /// sequencer per chip, and — for serving runs — the request buffer and
-/// the request source. Cores spawned at run time follow. Every engine
-/// of a run fills these slots in this order
-/// ([`SystemSimulator::build_engine`]), so a component has the same id
-/// on the single engine and on every shard, and cross-shard events
-/// need no id translation.
+/// the request source. Cores spawned at run time follow.
+/// [`SystemSimulator::build_engine`] fills these slots in this order.
 struct SystemLayout {
     chips: Vec<ChipParts>,
     interconnect: ComponentId,
@@ -1022,52 +854,32 @@ struct ChipParts {
     bus: ComponentId,
 }
 
-/// Which slots of the [`SystemLayout`] one engine hosts.
-enum Host {
-    /// Every slot: the single engine, with the serving frontend (if
-    /// any) as the request buffer and source components.
-    Whole(Option<Frontend>),
-    /// Chip `c`'s components and sequencer only: one shard. Events for
-    /// the other chips, the interconnect and the frontend export to
-    /// the [`ShardBoundary`].
-    #[cfg(feature = "sharded")]
-    Shard(usize),
-}
-
-/// The serving round source before it is handed to an executor: the
-/// request-buffer state machine and the pre-generated arrival stream.
-struct Frontend {
-    core: BufferCore,
+/// The serving round source: the config the request buffer runs, the
+/// active chips it admits rounds to, and the pre-generated arrival
+/// stream.
+struct Frontend<'a> {
+    config: &'a ServingConfig,
+    active: Vec<usize>,
     arrivals: Vec<f64>,
 }
 
-/// Fills global slot `id` of an engine under construction: with
-/// `component` when the engine hosts it, with a vacant pad otherwise.
-fn place<C: Component<ChipEvent>>(
-    engine: &mut Engine<ChipEvent>,
-    id: ComponentId,
-    component: Option<C>,
-) {
-    match component {
-        Some(component) => {
-            assert_eq!(engine.add_component(component), id, "slots fill in layout order");
-        }
-        None => engine.pad_components(1),
-    }
+/// Registers `component` in global slot `id` of an engine under
+/// construction.
+fn place<C: Component<ChipEvent>>(engine: &mut Engine<ChipEvent>, id: ComponentId, component: C) {
+    assert_eq!(engine.add_component(component), id, "slots fill in layout order");
 }
 
-/// What a run leaves behind, whichever executor ran it.
+/// What a run leaves behind.
 struct RunOutcome {
     chips: Vec<ChipOutcome>,
     links: Vec<LinkStats>,
-    /// The serving frontend's admission ledger (`None` for fixed-round
-    /// runs).
-    frontend: Option<BufferCore>,
-    engine: EngineMode,
+    /// The serving run's request buffer with its admission ledger
+    /// (`None` for fixed-round runs).
+    buffer: Option<RequestBuffer>,
 }
 
 /// One chip's extracted end-of-run state — everything the report fold
-/// needs, detached from any engine so it can cross a shard thread.
+/// needs.
 struct ChipOutcome {
     sequencer: ChipSequencer,
     channel: MemChannel,
@@ -1078,702 +890,6 @@ struct ChipOutcome {
     /// vector per running stage in node order — the deadlock
     /// diagnosis walks these.
     stalled_cores: Vec<Vec<CoreComponent>>,
-}
-
-/// One queued unit of boundary work in a sharded run.
-#[cfg(feature = "sharded")]
-#[derive(Debug, Clone, Copy)]
-enum TransferKind {
-    /// A hop still to be carried over a link.
-    Ship { src: usize, dst: usize, bytes: usize, hop: usize },
-    /// A terminal delivery to `dst`'s sequencer.
-    Arrival { src: usize, dst: usize },
-    /// An admitted serving round bound for `dst`'s sequencer
-    /// ([`ChipEvent::AppendRound`]): cut by the boundary-resident
-    /// request buffer, delivered [`ADMISSION_LATENCY_NS`] later.
-    /// Touches no link state — like an [`TransferKind::Arrival`], its
-    /// delivery time is final at creation.
-    Admission { dst: usize },
-}
-
-/// A pending boundary transfer, ordered exactly as the single engine
-/// orders its events: primarily by firing time, then by the instant
-/// the work was scheduled, then by `(lane, emit)` — a canonical
-/// tie-break that is independent of the rendezvous schedule. Fresh
-/// exports use their source shard as the lane (equal-instant
-/// cross-shard ties fall back to shard id, the order the single
-/// engine's chip-major Kick seeding produces for symmetric chips);
-/// boundary-relayed hops share one lane past every shard's (relays
-/// with equal `(time, scheduled)` are always carried in the same
-/// [`ShardBoundary`] advance pass, so their emission order is already
-/// the processing order). Lanes make cross-window ties — which the
-/// old global-window protocol could never produce, but lazy pacing
-/// can — deterministic.
-#[cfg(feature = "sharded")]
-#[derive(Debug)]
-struct PendingTransfer {
-    time: SimTime,
-    /// The instant the work was scheduled: its own time for shard
-    /// exports (sequencers ship at `now`), the predecessor hop's
-    /// instant for relayed hops.
-    scheduled: SimTime,
-    /// Source shard for fresh exports; `chips` for relayed hops.
-    lane: usize,
-    /// Per-lane monotone emission counter.
-    emit: u64,
-    kind: TransferKind,
-}
-
-#[cfg(feature = "sharded")]
-impl PendingTransfer {
-    fn key(&self) -> (SimTime, SimTime, usize, u64) {
-        (self.time, self.scheduled, self.lane, self.emit)
-    }
-}
-
-#[cfg(feature = "sharded")]
-impl PartialEq for PendingTransfer {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-
-#[cfg(feature = "sharded")]
-impl Eq for PendingTransfer {}
-
-#[cfg(feature = "sharded")]
-impl PartialOrd for PendingTransfer {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-#[cfg(feature = "sharded")]
-impl Ord for PendingTransfer {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key().cmp(&other.key())
-    }
-}
-
-/// Replaces `slot` with `candidate` when it is earlier (or the slot
-/// is unset) — the min-fold for optional horizon times.
-#[cfg(feature = "sharded")]
-fn tighten(slot: &mut Option<SimTime>, candidate: SimTime) {
-    let earlier = match *slot {
-        Some(current) => candidate < current,
-        None => true,
-    };
-    if earlier {
-        *slot = Some(candidate);
-    }
-}
-
-/// The interconnect lifted out of the engines for a sharded run,
-/// driven by the [`ShardBoundary`] between windows. All cross-chip
-/// `Ship`s export here; hops are carried in the exact `(time, seq)`
-/// order the single engine would use, so the link-contention
-/// arithmetic — including the order of its f64 accumulations — is
-/// byte-identical.
-///
-/// The relay owns the transfer half of the lookahead: per-destination
-/// horizons come from the tails of in-flight [`PendingTransfer`]s (a
-/// hop ready at `t` delivers no earlier than `t` plus its remaining
-/// hops' serialization + propagation) and from the shards' frontiers
-/// propagated through the *declared* hand-off graph — only a chip
-/// whose load declares a hand-off to `dst` can ever ship there, so
-/// chips with no inbound producers get an unbounded horizon and run
-/// to completion in one window.
-#[cfg(feature = "sharded")]
-struct LinkRelay {
-    fabric: InterconnectComponent,
-    /// The interconnect's global component id (every non-terminal hop
-    /// re-targets it).
-    me: ComponentId,
-    chips: usize,
-    /// In-flight (never terminal) hops, in global dispatch order.
-    pending: BinaryHeap<Reverse<PendingTransfer>>,
-    /// Finalized sequencer deliveries, per destination chip: their
-    /// times are exact, so they release lazily and never bound their
-    /// destination's horizon.
-    ready: Vec<BinaryHeap<Reverse<PendingTransfer>>>,
-    /// Per-lane emission counters (`chips + 2`: one per shard, the
-    /// relay lane, and the admission lane of the serving frontend).
-    emit: Vec<u64>,
-    /// `route_bounds[src][dst]`: minimum delivery delay of the
-    /// declared `(src, dst)` hand-off over its route, `None` for
-    /// pairs no load declares.
-    route_bounds: Vec<Vec<Option<f64>>>,
-}
-
-#[cfg(feature = "sharded")]
-impl LinkRelay {
-    fn new(topology: &Topology, loads: &[ChipLoad<'_>], layout: &SystemLayout) -> Self {
-        let chips = loads.len();
-        // Per-pair delivery lower bounds for the declared hand-off
-        // graph: each route hop pays the hand-off's full serialization
-        // plus propagation even when uncontended.
-        let mut route_bounds = vec![vec![None; chips]; chips];
-        for (src, load) in loads.iter().enumerate() {
-            for handoff in &load.handoffs {
-                route_bounds[src][handoff.dst] =
-                    topology.route_transfer_bound_ns(src, handoff.dst, handoff.bytes);
-            }
-        }
-        Self {
-            fabric: InterconnectComponent::new(topology, &layout.sequencers),
-            me: layout.interconnect,
-            chips,
-            pending: BinaryHeap::new(),
-            ready: (0..chips).map(|_| BinaryHeap::new()).collect(),
-            emit: vec![0; chips + 2],
-            route_bounds,
-        }
-    }
-
-    /// Queues one admitted-round delivery for `dst`, cut at
-    /// `scheduled` and delivered at `time`. All admissions share one
-    /// lane past every shard's and the relay lane, so equal-instant
-    /// ties against genuine transfers resolve the same way every run.
-    fn push_admission(&mut self, time: SimTime, scheduled: SimTime, dst: usize) {
-        self.push(time, scheduled, self.chips + 1, TransferKind::Admission { dst });
-    }
-
-    /// Queues boundary work scheduled at instant `scheduled` on
-    /// `lane`, classifying terminal ships (`hop` past the route) as
-    /// arrivals up front: they touch no link state and their delivery
-    /// times are final, so they go straight to their destination's
-    /// ready queue.
-    fn push(&mut self, time: SimTime, scheduled: SimTime, lane: usize, kind: TransferKind) {
-        let kind = match kind {
-            TransferKind::Ship { src, dst, hop, .. } if hop >= self.fabric.route_len(src, dst) => {
-                TransferKind::Arrival { src, dst }
-            }
-            other => other,
-        };
-        let emit = self.emit[lane];
-        self.emit[lane] += 1;
-        let entry = PendingTransfer { time, scheduled, lane, emit, kind };
-        match entry.kind {
-            TransferKind::Arrival { dst, .. } | TransferKind::Admission { dst } => {
-                self.ready[dst].push(Reverse(entry))
-            }
-            TransferKind::Ship { .. } => self.pending.push(Reverse(entry)),
-        }
-    }
-
-    /// The earliest undelivered transfer: in flight or ready.
-    fn next_time(&self) -> Option<SimTime> {
-        let ready = self.ready.iter().filter_map(|queue| queue.peek().map(|Reverse(e)| e.time));
-        self.pending.peek().map(|Reverse(p)| p.time).into_iter().chain(ready).min()
-    }
-
-    /// Earliest possible delivery instant of an in-flight hop: its
-    /// ready time plus full serialization + propagation of every
-    /// remaining hop (each hop re-serializes the payload), all
-    /// contention-free — the tail bound the dynamic lookahead is
-    /// built from.
-    fn ship_bound(&self, entry: &PendingTransfer) -> SimTime {
-        let TransferKind::Ship { src, dst, bytes, hop } = entry.kind else {
-            unreachable!("pending holds only in-flight hops")
-        };
-        let route = self.fabric.routes[src][dst].as_ref().expect("validated route exists");
-        let remaining: f64 = route[hop..]
-            .iter()
-            .map(|&link| {
-                let spec = self.fabric.links[link].spec;
-                spec.serialization_ns(bytes) + spec.latency_ns
-            })
-            .sum();
-        entry.time.advance(remaining)
-    }
-
-    /// Each chip's earliest possible *future send* instant: its local
-    /// frontier or earliest undelivered inbound (an in-flight tail or
-    /// a ready arrival can wake it), closed transitively over the
-    /// declared hand-off graph — a woken chip forwards influence
-    /// downstream, including back to the original sender.
-    fn effective_frontiers(&self, frontiers: &[Option<SimTime>]) -> Vec<Option<SimTime>> {
-        let mut eff: Vec<Option<SimTime>> = frontiers.to_vec();
-        for Reverse(entry) in &self.pending {
-            let TransferKind::Ship { dst, .. } = entry.kind else {
-                unreachable!("pending holds only in-flight hops")
-            };
-            tighten(&mut eff[dst], self.ship_bound(entry));
-        }
-        for (dst, queue) in self.ready.iter().enumerate() {
-            if let Some(Reverse(front)) = queue.peek() {
-                tighten(&mut eff[dst], front.time);
-            }
-        }
-        // Bellman-Ford over strictly positive edge weights: chips are
-        // few, the exact fixpoint is cheap.
-        loop {
-            let mut changed = false;
-            for src in 0..self.chips {
-                let Some(from) = eff[src] else { continue };
-                for (dst, bound) in self.route_bounds[src].iter().enumerate() {
-                    let Some(bound) = *bound else { continue };
-                    let via = from.advance(bound);
-                    let earlier = match eff[dst] {
-                        Some(current) => via < current,
-                        None => true,
-                    };
-                    if earlier {
-                        eff[dst] = Some(via);
-                        changed = true;
-                    }
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-        eff
-    }
-
-    /// Carries the front pending hop over its next link if no future
-    /// export can precede it — below the minimum effective frontier in
-    /// `eff`, no chip can emit new boundary work, so processing in
-    /// `(time, scheduled, lane, emit)` order reproduces the single
-    /// engine's link arithmetic exactly. Returns whether a hop was
-    /// carried; bounds only grow as hops are carried, so callers
-    /// looping until `false` terminate.
-    fn carry_front_if_safe(&mut self, eff: &[Option<SimTime>]) -> bool {
-        let safe = eff.iter().flatten().min().copied();
-        let Some(Reverse(front)) = self.pending.peek() else { return false };
-        let carriable = match safe {
-            Some(safe) => front.time < safe,
-            None => true,
-        };
-        if !carriable {
-            return false;
-        }
-        let Reverse(entry) = self.pending.pop().expect("peeked entry exists");
-        let TransferKind::Ship { src, dst, bytes, hop } = entry.kind else {
-            unreachable!("pending holds only in-flight hops")
-        };
-        let (time, _target, payload) = self.fabric.relay(self.me, entry.time, src, dst, bytes, hop);
-        let ChipEvent::Ship { src, dst, bytes, hop } = payload else {
-            unreachable!("relay emits the next hop for non-terminal ships")
-        };
-        self.push(time, entry.time, self.chips, TransferKind::Ship { src, dst, bytes, hop });
-        true
-    }
-
-    /// Per-destination release horizons for the effective frontiers
-    /// `eff`: the tails of in-flight hops destined there, and every
-    /// declared producer's frontier advanced by its route bound.
-    fn horizons_from(&self, eff: &[Option<SimTime>]) -> Vec<Option<SimTime>> {
-        (0..self.chips)
-            .map(|dst| {
-                let mut horizon: Option<SimTime> = None;
-                // In-flight tails destined here.
-                for Reverse(entry) in &self.pending {
-                    let TransferKind::Ship { dst: ship_dst, .. } = entry.kind else {
-                        unreachable!("pending holds only in-flight hops")
-                    };
-                    if ship_dst == dst {
-                        tighten(&mut horizon, self.ship_bound(entry));
-                    }
-                }
-                // Declared producers, at their effective frontiers.
-                for (src, from) in eff.iter().enumerate() {
-                    if let (Some(from), Some(bound)) = (*from, self.route_bounds[src][dst]) {
-                        tighten(&mut horizon, from.advance(bound));
-                    }
-                }
-                horizon
-            })
-            .collect()
-    }
-
-    /// Releases `shard`'s finalized deliveries that fire strictly
-    /// before `horizon` (all of them when `None`), in delivery order.
-    fn release(&mut self, shard: usize, horizon: Option<SimTime>) -> Vec<RemoteEvent<ChipEvent>> {
-        let mut inbox = Vec::new();
-        while let Some(Reverse(front)) = self.ready[shard].peek() {
-            let deliverable = match horizon {
-                Some(horizon) => front.time < horizon,
-                None => true,
-            };
-            if !deliverable {
-                break;
-            }
-            let Reverse(entry) = self.ready[shard].pop().expect("peeked entry exists");
-            let (dst, payload) = match entry.kind {
-                TransferKind::Arrival { src, dst } => (dst, ChipEvent::HandoffIn { src }),
-                TransferKind::Admission { dst } => (dst, ChipEvent::AppendRound),
-                TransferKind::Ship { .. } => {
-                    unreachable!("ready queues hold only terminal deliveries")
-                }
-            };
-            inbox.push(RemoteEvent {
-                time: entry.time,
-                target: self.fabric.sequencers[dst],
-                payload,
-            });
-        }
-        inbox
-    }
-
-    /// Absorbs one export of `shard` bound for the interconnect. Its
-    /// firing time equals its scheduling instant (sequencers ship at
-    /// `now`); the source shard is its lane.
-    fn absorb(&mut self, shard: usize, event: RemoteEvent<ChipEvent>) {
-        assert_eq!(event.target, self.me, "cross-shard events all address the interconnect");
-        let ChipEvent::Ship { src, dst, bytes, hop } = event.payload else {
-            unreachable!("interconnect received {:?}", event.payload)
-        };
-        self.push(event.time, event.time, shard, TransferKind::Ship { src, dst, bytes, hop });
-    }
-}
-
-/// An armed flush timer on the serving boundary, ordered `(due,
-/// emit)` — `emit` is a frontend-wide monotone counter, so equal-due
-/// timers fire in arming order, exactly as the single engine's event
-/// queue orders equal-instant self-events.
-#[cfg(feature = "sharded")]
-#[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
-struct TimerEntry {
-    due: SimTime,
-    emit: u64,
-    generation: u64,
-}
-
-/// An absorbed round-completion report awaiting frontend processing,
-/// ordered `(time, lane, emit)`: equal-instant reports from different
-/// shards order by shard index — the order the single engine's
-/// chip-major component layout dispatches equal-instant `RoundDone`s
-/// in — and reports from one shard keep their export order.
-#[cfg(feature = "sharded")]
-#[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
-struct InboxDone {
-    time: SimTime,
-    lane: usize,
-    emit: u64,
-    chip: usize,
-}
-
-/// The [`AdmissionSink`] of the sharded serving frontend: admissions
-/// become [`TransferKind::Admission`] deliveries on the relay's ready
-/// queues (released to their shards under the usual horizon
-/// discipline), deadline timers land on the frontend's own timer
-/// heap.
-#[cfg(feature = "sharded")]
-struct FrontendSink<'a> {
-    link: &'a mut LinkRelay,
-    timers: &'a mut BinaryHeap<Reverse<TimerEntry>>,
-    timer_emit: &'a mut u64,
-    active: &'a [usize],
-}
-
-#[cfg(feature = "sharded")]
-impl AdmissionSink for FrontendSink<'_> {
-    fn admit_round(&mut self, cut_ns: f64) {
-        let time = SimTime::from_ns(cut_ns + ADMISSION_LATENCY_NS);
-        let scheduled = SimTime::from_ns(cut_ns);
-        // Ascending chip order — the order the single engine's buffer
-        // schedules its per-sequencer `AppendRound`s in.
-        for &dst in self.active {
-            self.link.push_admission(time, scheduled, dst);
-        }
-    }
-
-    fn arm_deadline(&mut self, due_ns: f64, generation: u64) {
-        let emit = *self.timer_emit;
-        *self.timer_emit += 1;
-        self.timers.push(Reverse(TimerEntry { due: SimTime::from_ns(due_ns), emit, generation }));
-    }
-}
-
-/// The serving frontend of a sharded run: the request source (as a
-/// pre-generated arrival stream), the [`BufferCore`] state machine,
-/// its flush timers, and the inbox of absorbed round completions. It
-/// replays the exact event interleaving the single engine's buffer
-/// component sees, by merging its three input streams (arrivals,
-/// timers, completions) in time order and only consuming an input
-/// when no shard can still produce an earlier round completion.
-///
-/// Dynamic graph growth is safe because *potential future admissions*
-/// are a horizon term: the earliest instant the buffer could next cut
-/// a batch (next arrival, earliest armed timer, or — when a due batch
-/// waits on capacity — the earliest possible round completion),
-/// advanced by [`ADMISSION_LATENCY_NS`], bounds every active chip's
-/// effective frontier and release horizon exactly like an in-flight
-/// transfer's ship-tail. The admission delay is what keeps the
-/// protocol live: a cut at `t` delivers strictly after `t`, so
-/// granting a shard a window up to the admission bound always lets it
-/// pass the instant that triggers the admission.
-#[cfg(feature = "sharded")]
-struct ShardFrontend {
-    core: BufferCore,
-    /// The request buffer's global component id: shard exports
-    /// targeting it are frontend input, everything else is fabric
-    /// traffic.
-    buffer_id: ComponentId,
-    /// Active chip indices (non-empty programs), ascending.
-    active: Vec<usize>,
-    /// Pre-generated absolute arrival instants, ns, ascending.
-    arrivals: Vec<f64>,
-    /// Next unconsumed arrival.
-    next_arrival: usize,
-    /// Armed flush timers, stale generations included (they pop as
-    /// no-ops, exactly like the single engine's stale
-    /// `FlushDeadline`s).
-    timers: BinaryHeap<Reverse<TimerEntry>>,
-    timer_emit: u64,
-    /// Absorbed round completions not yet fed to the core.
-    inbox: BinaryHeap<Reverse<InboxDone>>,
-    /// Per-shard inbox emission counters.
-    inbox_emit: Vec<u64>,
-}
-
-#[cfg(feature = "sharded")]
-impl ShardFrontend {
-    fn new(frontend: Frontend, buffer_id: ComponentId, link: &mut LinkRelay) -> Self {
-        let Frontend { core, arrivals } = frontend;
-        let mut this = Self {
-            active: core.chips.clone(),
-            core,
-            buffer_id,
-            arrivals,
-            next_arrival: 0,
-            timers: BinaryHeap::new(),
-            timer_emit: 0,
-            inbox: BinaryHeap::new(),
-            inbox_emit: vec![0; link.chips],
-        };
-        if this.arrivals.is_empty() {
-            // An empty stream drains at t = 0, exactly like the single
-            // engine's source scheduling `SourceDrained` off its Kick.
-            let mut sink = FrontendSink {
-                link,
-                timers: &mut this.timers,
-                timer_emit: &mut this.timer_emit,
-                active: &this.active,
-            };
-            this.core.on_source_drained(0.0, &mut sink);
-        }
-        this
-    }
-
-    /// The instant of the next input of each class, in tie-break order:
-    /// round completions, then flush timers, then arrivals — a fixed
-    /// convention for a tie no continuous-time trace produces.
-    fn inputs(&self) -> [Option<SimTime>; 3] {
-        [
-            self.inbox.peek().map(|Reverse(done)| done.time),
-            self.timers.peek().map(|Reverse(timer)| timer.due),
-            self.arrivals.get(self.next_arrival).map(|&ns| SimTime::from_ns(ns)),
-        ]
-    }
-
-    /// The earliest instant the buffer could next cut a batch, given
-    /// that future round completions arrive no earlier than `gate`:
-    /// the next arrival, the earliest armed timer (stale timers
-    /// included — a lower bound may be conservative), and, when a due
-    /// batch is waiting on round capacity, the earliest absorbed or
-    /// future completion. `None` means no future admission is
-    /// possible.
-    fn admission_trigger(&self, gate: Option<SimTime>) -> Option<SimTime> {
-        let [done, timer, arrival] = self.inputs();
-        // Only while a due batch waits on a full in-flight window can a
-        // completion move the buffer: the next cut fires off a
-        // `RoundDone`.
-        let waiting = self.core.awaiting_capacity();
-        [timer, arrival, done.filter(|_| waiting), gate.filter(|_| waiting)]
-            .into_iter()
-            .flatten()
-            .min()
-    }
-
-    /// Consumes the earliest frontend input strictly below `gate` (a
-    /// `None` gate consumes freely), queueing any admission it cuts on
-    /// `link`. Returns whether an input was consumed.
-    fn pump_one(&mut self, gate: Option<SimTime>, link: &mut LinkRelay) -> bool {
-        let pick =
-            self.inputs().into_iter().enumerate().filter_map(|(class, t)| Some((t?, class))).min();
-        let Some((time, class)) = pick else { return false };
-        if gate.is_some_and(|gate| time >= gate) {
-            return false;
-        }
-        enum Input {
-            Done { chip: usize },
-            Timer { generation: u64 },
-            Arrival,
-        }
-        // Pop the input before the sink borrows the timer heap.
-        let input = match class {
-            0 => Input::Done { chip: self.inbox.pop().expect("peeked input exists").0.chip },
-            1 => Input::Timer {
-                generation: self.timers.pop().expect("peeked input exists").0.generation,
-            },
-            _ => {
-                self.next_arrival += 1;
-                Input::Arrival
-            }
-        };
-        let mut sink = FrontendSink {
-            link,
-            timers: &mut self.timers,
-            timer_emit: &mut self.timer_emit,
-            active: &self.active,
-        };
-        let now = time.as_ns();
-        match input {
-            Input::Done { chip } => self.core.on_round_done(chip, now, &mut sink),
-            Input::Timer { generation } => self.core.on_flush_deadline(generation, now, &mut sink),
-            Input::Arrival => {
-                self.core.on_new_request(now, &mut sink);
-                if self.next_arrival == self.arrivals.len() {
-                    // The single engine schedules `SourceDrained` at
-                    // the last arrival's instant, right behind it.
-                    self.core.on_source_drained(now, &mut sink);
-                }
-            }
-        }
-        true
-    }
-
-    /// Queues one absorbed `RoundDone` export of `shard`.
-    fn absorb(&mut self, shard: usize, event: RemoteEvent<ChipEvent>) {
-        let ChipEvent::RoundDone { chip } = event.payload else {
-            unreachable!("request buffer received {:?}", event.payload)
-        };
-        let emit = self.inbox_emit[shard];
-        self.inbox_emit[shard] += 1;
-        self.inbox.push(Reverse(InboxDone { time: event.time, lane: shard, emit, chip }));
-    }
-}
-
-/// The sharded executor's [`pim_engine::Boundary`]: the interconnect
-/// relay plus, for serving runs, the admission frontend. Without a
-/// frontend there is no admission term, and frontiers and horizons are
-/// the relay's alone.
-#[cfg(feature = "sharded")]
-struct ShardBoundary {
-    link: LinkRelay,
-    frontend: Option<ShardFrontend>,
-}
-
-/// A shard boundary's view of the frontiers: the effective frontiers,
-/// the frontend's gate and the admission bound (see
-/// [`ShardBoundary::frontier_view`]).
-#[cfg(feature = "sharded")]
-type FrontierView = (Vec<Option<SimTime>>, Option<SimTime>, Option<SimTime>);
-
-#[cfg(feature = "sharded")]
-impl ShardBoundary {
-    fn new(
-        topology: &Topology,
-        loads: &[ChipLoad<'_>],
-        layout: &SystemLayout,
-        frontend: Option<Frontend>,
-    ) -> Self {
-        let mut link = LinkRelay::new(topology, loads, layout);
-        let frontend = frontend.map(|frontend| {
-            let buffer = layout.buffer.expect("serving layouts carry a buffer slot");
-            ShardFrontend::new(frontend, buffer, &mut link)
-        });
-        Self { link, frontend }
-    }
-
-    /// The relay's effective frontiers, tightened by potential future
-    /// admissions; the *gate* — the earliest instant any active chip
-    /// could still emit a round completion (`None` when every active
-    /// chip is silent forever); and the admission bound — the
-    /// admission trigger advanced by [`ADMISSION_LATENCY_NS`]. The
-    /// gate is computed *before* admission tightening: completions of
-    /// already-admitted rounds are bounded by the pre-admission
-    /// frontiers, and any admission the frontend performs later is
-    /// performed in stream order, so it can only create completions at
-    /// or after the instant being consumed.
-    fn frontier_view(&self, frontiers: &[Option<SimTime>]) -> FrontierView {
-        let mut eff = self.link.effective_frontiers(frontiers);
-        let Some(frontend) = &self.frontend else { return (eff, None, None) };
-        // `None` frontiers contribute nothing: a permanently silent
-        // chip never reports another round.
-        let gate = frontend.active.iter().filter_map(|&c| eff[c]).min();
-        let admission =
-            frontend.admission_trigger(gate).map(|trigger| trigger.advance(ADMISSION_LATENCY_NS));
-        if let Some(admission) = admission {
-            // One pass suffices: every chip that can ship is active
-            // (idle chips cannot declare hand-offs), so any secondary
-            // influence `admission + route bound` exceeds the
-            // admission bound every active chip is already tightened
-            // to.
-            for &c in &frontend.active {
-                tighten(&mut eff[c], admission);
-            }
-        }
-        (eff, gate, admission)
-    }
-
-    /// Tears the boundary down into the accumulated link statistics
-    /// and the frontend's admission ledger, for the report fold.
-    fn into_parts(self) -> (Vec<LinkStats>, Option<BufferCore>) {
-        (self.link.fabric.stats, self.frontend.map(|frontend| frontend.core))
-    }
-}
-
-#[cfg(feature = "sharded")]
-impl pim_engine::Boundary<ChipEvent> for ShardBoundary {
-    fn next_time(&self) -> Option<SimTime> {
-        let frontend = self.frontend.iter().flat_map(ShardFrontend::inputs).flatten();
-        self.link.next_time().into_iter().chain(frontend).min()
-    }
-
-    fn advance(&mut self, frontiers: &[Option<SimTime>]) {
-        // Interleave hop-carrying with frontend consumption to a joint
-        // fixpoint: a carried hop can raise the gate (unblocking the
-        // frontend), and a consumed arrival can queue an admission
-        // (tightening the frontiers hop-carrying runs under). Both
-        // steps only consume monotone state, so the loop terminates.
-        loop {
-            let (eff, gate, _) = self.frontier_view(frontiers);
-            if self.link.carry_front_if_safe(&eff) {
-                continue;
-            }
-            let pumped = match &mut self.frontend {
-                Some(frontend) => frontend.pump_one(gate, &mut self.link),
-                None => false,
-            };
-            if !pumped {
-                break;
-            }
-        }
-    }
-
-    fn horizons(&self, frontiers: &[Option<SimTime>]) -> Vec<Option<SimTime>> {
-        let (eff, _, admission) = self.frontier_view(frontiers);
-        let mut horizons = self.link.horizons_from(&eff);
-        // A future admission is delivered to every active chip
-        // directly (no route hops), so it bounds their release
-        // horizons as well as their frontiers.
-        if let (Some(frontend), Some(admission)) = (&self.frontend, admission) {
-            for &c in &frontend.active {
-                tighten(&mut horizons[c], admission);
-            }
-        }
-        horizons
-    }
-
-    fn release(&mut self, shard: usize, horizon: Option<SimTime>) -> Vec<RemoteEvent<ChipEvent>> {
-        self.link.release(shard, horizon)
-    }
-
-    fn absorb(&mut self, shard: usize, exports: Vec<RemoteEvent<ChipEvent>>) {
-        // Exports arrive in the shard's `(time, seq)` pop order; the
-        // relay and the frontend inbox keep independent orders.
-        for event in exports {
-            match &mut self.frontend {
-                Some(frontend) if event.target == frontend.buffer_id => {
-                    frontend.absorb(shard, event)
-                }
-                _ => self.link.absorb(shard, event),
-            }
-        }
-    }
 }
 
 /// Dispatches one chip's `(batch, partition)` stages from the ready
@@ -2082,36 +1198,25 @@ impl InterconnectComponent {
             stats,
         }
     }
+}
 
-    /// The number of link hops on the validated route from `src` to
-    /// `dst`.
-    #[cfg(feature = "sharded")]
-    fn route_len(&self, src: usize, dst: usize) -> usize {
-        self.routes[src][dst].as_ref().expect("validated route exists").len()
-    }
-
-    /// Carries one `Ship` one hop, returning the follow-on event to
-    /// schedule: the terminal hand-off to the destination sequencer,
-    /// or — after claiming the next link (serialization, queueing,
-    /// stats) — the next hop back to the interconnect (`me`).
-    /// Separated from `on_event` so the sharded boundary can drive
-    /// the identical arithmetic without an engine.
-    fn relay(
-        &mut self,
-        me: ComponentId,
-        time: SimTime,
-        src: usize,
-        dst: usize,
-        bytes: usize,
-        hop: usize,
-    ) -> (SimTime, ComponentId, ChipEvent) {
+impl Component<ChipEvent> for InterconnectComponent {
+    /// Carries one `Ship` one hop: the terminal hand-off to the
+    /// destination sequencer, or — after claiming the next link
+    /// (serialization, queueing, stats) — the next hop back to the
+    /// interconnect.
+    fn on_event(&mut self, event: Event<ChipEvent>, ctx: &mut EngineCtx<'_, ChipEvent>) {
+        let ChipEvent::Ship { src, dst, bytes, hop } = event.payload else {
+            unreachable!("interconnect received {:?}", event.payload)
+        };
         let route = self.routes[src][dst].as_ref().expect("validated route exists");
         if hop >= route.len() {
-            return (time, self.sequencers[dst], ChipEvent::HandoffIn { src });
+            ctx.schedule(event.time, self.sequencers[dst], ChipEvent::HandoffIn { src });
+            return;
         }
         let link = route[hop];
         let spec = self.links[link].spec;
-        let now = time.as_ns();
+        let now = event.time.as_ns();
         let start = now.max(self.free_ns[link]);
         let serialization = spec.serialization_ns(bytes);
         self.free_ns[link] = start + serialization;
@@ -2120,24 +1225,11 @@ impl InterconnectComponent {
         stats.bytes += bytes as u64;
         stats.busy_ns += serialization;
         stats.wait_ns += start - now;
-        (
+        ctx.schedule(
             SimTime::from_ns(start + serialization + spec.latency_ns),
-            me,
+            event.target,
             ChipEvent::Ship { src, dst, bytes, hop: hop + 1 },
-        )
-    }
-}
-
-impl Component<ChipEvent> for InterconnectComponent {
-    fn on_event(&mut self, event: Event<ChipEvent>, ctx: &mut EngineCtx<'_, ChipEvent>) {
-        match event.payload {
-            ChipEvent::Ship { src, dst, bytes, hop } => {
-                let (time, target, payload) =
-                    self.relay(event.target, event.time, src, dst, bytes, hop);
-                ctx.schedule(time, target, payload);
-            }
-            other => unreachable!("interconnect received {other:?}"),
-        }
+        );
     }
 
     fn into_any(self: Box<Self>) -> Box<dyn Any> {
@@ -2539,153 +1631,5 @@ mod tests {
             .expect("the override slot accepts the larger program");
         assert_eq!(report.chips.as_ref().unwrap().len(), 2);
         assert!(report.makespan_ns > 0.0);
-    }
-
-    #[cfg(feature = "sharded")]
-    #[test]
-    fn sharded_pipeline_matches_single_threaded() {
-        let chip = ChipSpec::chip_s();
-        let stage = mvm_program(chip.cores, 200);
-        let loads = [
-            ChipLoad::new(std::slice::from_ref(&stage)).with_handoff(1, 4096),
-            ChipLoad::new(std::slice::from_ref(&stage)),
-        ];
-        let run = |sharded: bool| {
-            SystemSimulator::new(chip.clone(), Topology::ring(2))
-                .with_sharded(sharded)
-                .run(&loads, 3, 1)
-                .unwrap()
-        };
-        assert_eq!(run(true), run(false));
-    }
-
-    #[cfg(feature = "sharded")]
-    #[test]
-    fn sharded_multi_hop_contention_matches_single_threaded() {
-        // The hardest equivalence case: multi-hop routes relayed
-        // through an intermediate chip, shared-link queueing, an idle
-        // chip, and two symmetric producers shipping at identical
-        // instants (a cross-shard time tie).
-        let chip = ChipSpec::chip_s();
-        let stage = mvm_program(chip.cores, 10);
-        let bytes = 1 << 20;
-        let loads = [
-            ChipLoad::new(std::slice::from_ref(&stage)).with_handoff(2, bytes),
-            ChipLoad::new(std::slice::from_ref(&stage)).with_handoff(2, bytes),
-            ChipLoad::new(std::slice::from_ref(&stage)),
-            ChipLoad::new(&[]),
-        ];
-        let run = |sharded: bool| {
-            SystemSimulator::new(chip.clone(), Topology::ring(4))
-                .with_sharded(sharded)
-                .run(&loads, 2, 1)
-                .unwrap()
-        };
-        assert_eq!(run(true), run(false));
-    }
-
-    #[cfg(feature = "sharded")]
-    #[test]
-    fn sharded_runs_diagnose_deadlocks() {
-        let chip = ChipSpec::chip_s();
-        let good = mvm_program(chip.cores, 5);
-        let mut bad = ChipProgram::new(chip.cores);
-        bad.core_mut(CoreId(2)).push(I::Recv { from: CoreId(0), bytes: 64, tag: Tag(404) });
-        let loads =
-            [ChipLoad::new(std::slice::from_ref(&good)), ChipLoad::new(std::slice::from_ref(&bad))];
-        let err = SystemSimulator::new(chip, Topology::ring(2))
-            .with_sharded(true)
-            .run(&loads, 1, 1)
-            .unwrap_err();
-        assert_eq!(err, SimError::Deadlock { core: CoreId(2), tag: Tag(404) });
-    }
-
-    /// A ring whose links all carry zero propagation latency — legal
-    /// for the single-threaded engine, unusable for conservative
-    /// lookahead.
-    #[cfg(feature = "sharded")]
-    fn zero_latency_ring() -> Topology {
-        let mut topo = Topology::ring(2);
-        for link in &mut topo.links {
-            link.spec.latency_ns = 0.0;
-        }
-        topo
-    }
-
-    #[cfg(feature = "sharded")]
-    #[test]
-    fn sharding_fallbacks_are_recorded_not_silent() {
-        use crate::report::EngineMode;
-        let chip = ChipSpec::chip_s();
-        let program = mvm_program(chip.cores, 5);
-        // Single chip: a sharding request has nothing to parallelize.
-        let single_load = [ChipLoad::new(std::slice::from_ref(&program))];
-        let sim = SystemSimulator::new(chip.clone(), Topology::single()).with_sharded(true);
-        assert!(sim.shard_fallback_reason(&single_load).unwrap().contains("single chip"));
-        let report = sim.run(&single_load, 1, 1).unwrap();
-        assert_eq!(report.engine, Some(EngineMode::SingleThread));
-        // Zero-latency links admit no conservative lookahead window.
-        let loads = [
-            ChipLoad::new(std::slice::from_ref(&program)).with_handoff(1, 4096),
-            ChipLoad::new(std::slice::from_ref(&program)),
-        ];
-        let sim = SystemSimulator::new(chip.clone(), zero_latency_ring()).with_sharded(true);
-        assert!(sim.shard_fallback_reason(&loads).unwrap().contains("zero-latency"));
-        let report = sim.run(&loads, 1, 1).unwrap();
-        assert_eq!(report.engine, Some(EngineMode::SingleThread));
-        // A shardable system records the sharded mode — and the
-        // request is honoured, not silently dropped.
-        let sim = SystemSimulator::new(chip.clone(), Topology::ring(2)).with_sharded(true);
-        assert_eq!(sim.shard_fallback_reason(&loads), None);
-        let report = sim.run(&loads, 1, 1).unwrap();
-        assert_eq!(report.engine, Some(EngineMode::Sharded { shards: 2 }));
-        // And an explicitly unsharded run says so too (explicit,
-        // because the PIM_SHARDED env switch may set the default).
-        let report = SystemSimulator::new(chip.clone(), Topology::ring(2))
-            .with_sharded(false)
-            .run(&loads, 1, 1)
-            .unwrap();
-        assert_eq!(report.engine, Some(EngineMode::SingleThread));
-        // Serving runs honour sharding through the same gate: the old
-        // unconditional dynamic-rounds fallback is gone, and the
-        // remaining fallback reasons apply unchanged.
-        let serving = crate::ServingConfig::new(crate::TrafficSpec::Trace(crate::RequestTrace {
-            arrivals_ns: vec![0.0, 100.0, 250.0],
-        }));
-        let sim = SystemSimulator::new(chip.clone(), Topology::ring(2)).with_sharded(true);
-        let report = sim.run_serving(&loads, &serving).unwrap();
-        assert_eq!(report.engine, Some(EngineMode::Sharded { shards: 2 }));
-        let sim = SystemSimulator::new(chip, zero_latency_ring()).with_sharded(true);
-        let report = sim.run_serving(&loads, &serving).unwrap();
-        assert_eq!(report.engine, Some(EngineMode::SingleThread));
-    }
-
-    #[cfg(feature = "sharded")]
-    #[test]
-    fn late_traffic_reaches_a_long_idle_shard() {
-        // Lazy-release regression: chip 1 is idle from the first
-        // rendezvous on (its whole load gates on upstream hand-offs
-        // from slow chip 0), so for most of the run it reports no
-        // frontier while speculative deliveries accumulate at the
-        // boundary. It must keep receiving them — never be `Finish`ed
-        // early — and complete every round.
-        let chip = ChipSpec::chip_s();
-        let slow = mvm_program(chip.cores, 5_000);
-        let light = mvm_program(chip.cores, 1);
-        let loads = [
-            ChipLoad::new(std::slice::from_ref(&slow)).with_handoff(1, 65_536),
-            ChipLoad::new(std::slice::from_ref(&light)),
-        ];
-        let run = |sharded: bool| {
-            SystemSimulator::new(chip.clone(), Topology::ring(2))
-                .with_sharded(sharded)
-                .run(&loads, 3, 1)
-                .unwrap()
-        };
-        let sharded = run(true);
-        let consumer = &sharded.chips.as_ref().unwrap()[1];
-        assert_eq!(consumer.rounds, 3, "every late hand-off was delivered");
-        assert!(consumer.handoff_wait_ns > 0.0, "the consumer really did sit idle");
-        assert_eq!(sharded, run(false));
     }
 }

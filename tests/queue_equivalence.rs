@@ -12,11 +12,16 @@
 //!   topologies (`single`, `ring:2`) — the four env matrix legs,
 //! * the interleaved schedule mode (multi-stage in flight, mid-run
 //!   `add_component` core spawns with same-instant follow-up events),
-//! * FR-FCFS DRAM reordering (same-instant service-order sensitivity).
+//! * FR-FCFS DRAM reordering (same-instant service-order sensitivity),
+//! * multi-chip hand-off chains (ring:2, ring:4, fc:4 × timing ×
+//!   schedule, plus a DRAM-replay-off leg) and lopsided multi-chip
+//!   loads: skewed link latencies, equal-instant link contention,
+//!   long-idle consumers, zero-latency links and deadlocks.
 
 use compass::{CompileOptions, Compiler, GaParams, Strategy};
 use pim_arch::{ChipSpec, ScheduleMode, TimingMode, Topology};
-use pim_sim::{ChipLoad, ChipSimulator, SystemSimulator};
+use pim_isa::{ChipProgram, CoreId, Instruction, Tag};
+use pim_sim::{ChipLoad, ChipSimulator, SimError, SimReport, SystemSimulator};
 
 fn compiled_programs(batch: usize) -> compass::CompiledModel {
     let chip = ChipSpec::chip_s();
@@ -121,174 +126,167 @@ fn dram_reorder_reports_are_byte_identical() {
     assert_eq!(run(false), run(true), "calendar vs reference queue (FR-FCFS)");
 }
 
-/// Sharded ↔ single-threaded equivalence (PR 6).
-///
-/// One engine thread per chip with the interconnect as the
-/// conservative-lookahead boundary must produce **byte-identical**
-/// serialized reports to the single-threaded engine, across
-/// topologies × timing modes × schedule modes, with a hand-off chain
-/// keeping cross-shard traffic live every round.
-#[cfg(feature = "sharded")]
-mod sharded {
-    use super::*;
-
-    fn compiled_with_seed(batch: usize, seed: u64) -> compass::CompiledModel {
-        Compiler::new(ChipSpec::chip_s())
-            .compile(
-                &pim_model::zoo::tiny_cnn(),
-                &CompileOptions::new()
-                    .with_strategy(Strategy::Greedy)
-                    .with_batch_size(batch)
-                    .with_ga(GaParams::fast())
-                    .with_seed(seed),
-            )
-            .expect("compiles")
+/// `waves` MVM waves on four cores of a `cores`-core chip.
+fn mvm_program(cores: usize, waves: usize) -> ChipProgram {
+    let mut program = ChipProgram::new(cores);
+    for c in 0..4 {
+        program.core_mut(CoreId(c)).push(Instruction::Mvmul { waves, activations: 64, node: 0 });
     }
+    program
+}
 
-    fn report(
-        topology: Topology,
-        timing: TimingMode,
-        schedule: ScheduleMode,
-        sharded: bool,
-        seed: u64,
-    ) -> String {
-        report_with_replay(topology, timing, schedule, sharded, seed, true)
-    }
+/// Runs `loads` for `rounds` rounds on both queues, demands
+/// byte-identical serialized reports (or the same error), and returns
+/// the calendar queue's result.
+fn on_both_queues(
+    sim: &SystemSimulator,
+    loads: &[ChipLoad<'_>],
+    rounds: usize,
+    what: &str,
+) -> Result<SimReport, SimError> {
+    let run = |reference: bool| sim.clone().with_reference_queue(reference).run(loads, rounds, 1);
+    let (calendar, reference) = (run(false), run(true));
+    let bytes = |result: &Result<SimReport, SimError>| {
+        result.as_ref().map(|r| serde_json::to_string(r).expect("serializes")).map_err(Clone::clone)
+    };
+    assert_eq!(bytes(&calendar), bytes(&reference), "calendar vs reference queue ({what})");
+    calendar
+}
 
-    /// [`report`] with the analytic-mode DRAM replay switched by
-    /// `replay`.
-    fn report_with_replay(
-        topology: Topology,
-        timing: TimingMode,
-        schedule: ScheduleMode,
-        sharded: bool,
-        seed: u64,
-        replay: bool,
-    ) -> String {
-        let compiled = compiled_with_seed(2, seed);
-        let chips = topology.chips();
-        // Hand-off chain: every chip feeds its successor, so shard
-        // boundaries carry traffic every round.
-        let loads: Vec<ChipLoad<'_>> = (0..chips)
-            .map(|c| {
-                let load = ChipLoad::new(compiled.programs());
-                if c + 1 < chips {
-                    load.with_handoff(c + 1, 4096)
-                } else {
-                    load
-                }
-            })
-            .collect();
-        let report = SystemSimulator::new(ChipSpec::chip_s(), topology)
-            .with_timing_mode(timing)
-            .with_schedule_mode(schedule)
-            .with_dram_replay(replay)
-            .with_sharded(sharded)
-            .run(&loads, 3, 2)
-            .expect("simulates");
-        serde_json::to_string(&report).expect("serializes")
-    }
-
-    #[test]
-    fn sharded_reports_match_single_threaded_across_the_matrix() {
-        for topology in [Topology::ring(2), Topology::ring(4), Topology::fully_connected(4)] {
-            for timing in [TimingMode::Analytic, TimingMode::ClosedLoop] {
-                for schedule in ScheduleMode::ALL {
-                    let single = report(topology.clone(), timing, schedule, false, 11);
-                    let sharded = report(topology.clone(), timing, schedule, true, 11);
-                    assert_eq!(
-                        single, sharded,
-                        "sharded vs single ({topology}, {timing}, {schedule})"
-                    );
-                }
+/// A hand-off chain on `topology`: every chip runs the compiled
+/// workload and feeds its successor, so the interconnect carries
+/// traffic every round.
+fn chain_report(
+    topology: Topology,
+    timing: TimingMode,
+    schedule: ScheduleMode,
+    replay: bool,
+) -> SimReport {
+    let compiled = compiled_programs(2);
+    let chips = topology.chips();
+    let loads: Vec<ChipLoad<'_>> = (0..chips)
+        .map(|c| {
+            let load = ChipLoad::new(compiled.programs());
+            if c + 1 < chips {
+                load.with_handoff(c + 1, 4096)
+            } else {
+                load
             }
-            // Analytic with replay off: the only layout with three
-            // components per chip.
-            let run = |sharded: bool| {
-                report_with_replay(
-                    topology.clone(),
-                    TimingMode::Analytic,
-                    ScheduleMode::Barrier,
-                    sharded,
-                    11,
-                    false,
-                )
-            };
-            assert_eq!(run(false), run(true), "sharded vs single ({topology}, replay off)");
+        })
+        .collect();
+    let what = format!("{topology}, {timing}, {schedule}, replay {replay}");
+    let sim = SystemSimulator::new(ChipSpec::chip_s(), topology)
+        .with_timing_mode(timing)
+        .with_schedule_mode(schedule)
+        .with_dram_replay(replay);
+    on_both_queues(&sim, &loads, 3, &what).expect("simulates")
+}
+
+#[test]
+fn hand_off_chains_are_byte_identical_across_the_matrix() {
+    for topology in [Topology::ring(2), Topology::ring(4), Topology::fully_connected(4)] {
+        for timing in [TimingMode::Analytic, TimingMode::ClosedLoop] {
+            for schedule in ScheduleMode::ALL {
+                chain_report(topology.clone(), timing, schedule, true);
+            }
         }
+        // Analytic with replay off: the only layout with three
+        // components per chip.
+        chain_report(topology, TimingMode::Analytic, ScheduleMode::Barrier, false);
+    }
+}
+
+/// Lopsided multi-chip loads: skewed link latencies, chips with no
+/// inbound traffic, round clamps, equal-instant contention on shared
+/// links, a consumer idle for most of the run, zero-latency links and
+/// a deadlocked chip.
+#[test]
+fn degenerate_multi_chip_loads_are_byte_identical() {
+    // Heterogeneous link latencies: one fast edge (40 ns) and one slow
+    // edge (600 ns) on the same ring.
+    let mut skewed = Topology::ring(4);
+    skewed.links[0].spec.latency_ns = 40.0;
+    skewed.links[1].spec.latency_ns = 600.0;
+    chain_report(skewed, TimingMode::Analytic, ScheduleMode::Interleaved, true);
+
+    let chip = ChipSpec::chip_s();
+    let compiled = compiled_programs(2);
+    // A chip that receives no hand-offs at all.
+    let loads = [
+        ChipLoad::new(compiled.programs()).with_handoff(1, 4096),
+        ChipLoad::new(compiled.programs()),
+        ChipLoad::new(compiled.programs()),
+    ];
+    let fc3 = SystemSimulator::new(chip.clone(), Topology::fully_connected(3));
+    on_both_queues(&fc3, &loads, 2, "chip without inbound hand-offs").expect("simulates");
+    // Round clamps: zero rounds (clamped up to one) and a single round
+    // have start-up and tear-down with no steady state in between.
+    let ring2 = SystemSimulator::new(chip.clone(), Topology::ring(2));
+    let pipeline = [
+        ChipLoad::new(compiled.programs()).with_handoff(1, 4096),
+        ChipLoad::new(compiled.programs()),
+    ];
+    for rounds in [0usize, 1] {
+        on_both_queues(&ring2, &pipeline, rounds, &format!("rounds = {rounds}"))
+            .expect("simulates");
     }
 
-    /// Degenerate-window shapes for the dynamic-lookahead protocol:
-    /// the horizon is now derived from each shard's actual inbound
-    /// links and in-flight transfers, so the cases that stress it are
-    /// the ones where those quantities are lopsided.
-    #[test]
-    fn degenerate_windows_stay_byte_identical() {
-        // (a) Heterogeneous link latencies: one fast edge (40 ns) and
-        // one slow edge (600 ns) on the same ring, so per-destination
-        // horizons differ by over an order of magnitude.
-        let mut skewed = Topology::ring(4);
-        skewed.links[0].spec.latency_ns = 40.0;
-        skewed.links[1].spec.latency_ns = 600.0;
-        assert_eq!(
-            report(skewed.clone(), TimingMode::Analytic, ScheduleMode::Interleaved, false, 11),
-            report(skewed, TimingMode::Analytic, ScheduleMode::Interleaved, true, 11),
-            "heterogeneous link latencies"
-        );
-        // (b) A chip that receives no hand-offs at all: its shard has
-        // no inbound producer, so its horizon is unbounded and it runs
-        // each round in a single window.
-        let compiled = compiled_with_seed(2, 11);
-        let loads = [
-            ChipLoad::new(compiled.programs()).with_handoff(1, 4096),
-            ChipLoad::new(compiled.programs()),
-            ChipLoad::new(compiled.programs()),
-        ];
-        let run = |sharded: bool| {
-            let report = SystemSimulator::new(ChipSpec::chip_s(), Topology::fully_connected(3))
-                .with_sharded(sharded)
-                .run(&loads, 2, 2)
-                .expect("simulates");
-            serde_json::to_string(&report).expect("serializes")
-        };
-        assert_eq!(run(false), run(true), "chip without inbound hand-offs");
-        // (c) Round-count clamps: zero rounds (clamped up to one) and
-        // a single round exercise start-up and tear-down with no
-        // steady state in between.
-        for rounds in [0usize, 1] {
-            let run = |sharded: bool| {
-                let report = SystemSimulator::new(ChipSpec::chip_s(), Topology::ring(2))
-                    .with_sharded(sharded)
-                    .run(
-                        &[
-                            ChipLoad::new(compiled.programs()).with_handoff(1, 4096),
-                            ChipLoad::new(compiled.programs()),
-                        ],
-                        rounds,
-                        1,
-                    )
-                    .expect("simulates");
-                serde_json::to_string(&report).expect("serializes")
-            };
-            assert_eq!(run(false), run(true), "round clamp (rounds = {rounds})");
-        }
-    }
+    // A two-chip MVM pipeline with a per-round hand-off.
+    let stage = mvm_program(chip.cores, 200);
+    let loads = [
+        ChipLoad::new(std::slice::from_ref(&stage)).with_handoff(1, 4096),
+        ChipLoad::new(std::slice::from_ref(&stage)),
+    ];
+    on_both_queues(&ring2, &loads, 3, "mvm pipeline").expect("simulates");
 
-    #[test]
-    fn sharded_runs_are_deterministic_across_seeds() {
-        for seed in [11u64, 23] {
-            let run = || {
-                report(
-                    Topology::ring(4),
-                    TimingMode::Analytic,
-                    ScheduleMode::Interleaved,
-                    true,
-                    seed,
-                )
-            };
-            assert_eq!(run(), run(), "seed {seed}: repeated sharded runs must be byte-identical");
-        }
+    // Multi-hop routes relayed through an intermediate chip, shared-link
+    // queueing, an idle chip, and two symmetric producers shipping at
+    // identical instants.
+    let stage = mvm_program(chip.cores, 10);
+    let loads = [
+        ChipLoad::new(std::slice::from_ref(&stage)).with_handoff(2, 1 << 20),
+        ChipLoad::new(std::slice::from_ref(&stage)).with_handoff(2, 1 << 20),
+        ChipLoad::new(std::slice::from_ref(&stage)),
+        ChipLoad::new(&[]),
+    ];
+    let ring4 = SystemSimulator::new(chip.clone(), Topology::ring(4));
+    let report = on_both_queues(&ring4, &loads, 2, "multi-hop contention").expect("simulates");
+    let wait: f64 = report.links.as_ref().expect("link section").iter().map(|l| l.wait_ns).sum();
+    assert!(wait > 0.0, "the symmetric producers contend for the shared link");
+
+    // A consumer idle for most of the run: its whole load gates on
+    // hand-offs from a slow producer.
+    let slow = mvm_program(chip.cores, 5_000);
+    let light = mvm_program(chip.cores, 1);
+    let loads = [
+        ChipLoad::new(std::slice::from_ref(&slow)).with_handoff(1, 65_536),
+        ChipLoad::new(std::slice::from_ref(&light)),
+    ];
+    let report = on_both_queues(&ring2, &loads, 3, "long-idle consumer").expect("simulates");
+    let consumer = &report.chips.as_ref().expect("chip section")[1];
+    assert_eq!(consumer.rounds, 3, "every late hand-off was delivered");
+    assert!(consumer.handoff_wait_ns > 0.0, "the consumer really did sit idle");
+
+    // Zero-latency links: hand-offs land at the producer's own instant.
+    let mut instant = Topology::ring(2);
+    for link in &mut instant.links {
+        link.spec.latency_ns = 0.0;
     }
+    let stage = mvm_program(chip.cores, 5);
+    let loads = [
+        ChipLoad::new(std::slice::from_ref(&stage)).with_handoff(1, 4096),
+        ChipLoad::new(std::slice::from_ref(&stage)),
+    ];
+    let zero = SystemSimulator::new(chip.clone(), instant);
+    on_both_queues(&zero, &loads, 1, "zero-latency links").expect("simulates");
+
+    // A deadlocked chip: both queues diagnose the same blocked core.
+    let mut bad = ChipProgram::new(chip.cores);
+    bad.core_mut(CoreId(2)).push(Instruction::Recv { from: CoreId(0), bytes: 64, tag: Tag(404) });
+    let loads =
+        [ChipLoad::new(std::slice::from_ref(&stage)), ChipLoad::new(std::slice::from_ref(&bad))];
+    let err = on_both_queues(&ring2, &loads, 1, "deadlock").expect_err("deadlocks");
+    assert_eq!(err, SimError::Deadlock { core: CoreId(2), tag: Tag(404) });
 }
 
 #[test]

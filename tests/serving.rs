@@ -4,9 +4,11 @@
 //! reports tail percentiles and goodput, is byte-deterministic per
 //! seed, batching policies trade queueing delay against round count,
 //! admission control drops overload instead of queueing unboundedly,
-//! and the SLO accounting separates goodput from raw throughput.
+//! the SLO accounting separates goodput from raw throughput, and the
+//! calendar queue serves every traffic × policy × topology point
+//! byte-identically to the reference heap.
 
-use pim_arch::{ChipSpec, Topology};
+use pim_arch::{ChipSpec, ScheduleMode, TimingMode, Topology};
 use pim_isa::{ChipProgram, CoreId, Instruction};
 use pim_sim::{
     BatchPolicy, ChipLoad, RequestTrace, ServingConfig, SimReport, SystemSimulator, TrafficModel,
@@ -250,172 +252,135 @@ fn empty_traffic_serves_nothing_gracefully() {
     assert_eq!(report.makespan_ns, 0.0);
 }
 
-/// Sharded serving must reproduce the single-threaded oracle byte for
-/// byte: the admission frontend lives on the shard boundary, cuts the
-/// same batches at the same instants, and the folded report — request
-/// records, tails, drops, goodput — serializes identically.
-#[cfg(feature = "sharded")]
-mod sharded_serving {
-    use super::*;
-    use pim_arch::{ScheduleMode, TimingMode};
-    use pim_sim::EngineMode;
-
-    /// A `chips`-long hand-off chain on `topology`, every chip active,
-    /// run on the requested engine.
-    fn chain_run(
-        topology: Topology,
-        serving: &ServingConfig,
-        waves: usize,
-        sharded: bool,
-    ) -> SimReport {
-        chain_run_in(topology, serving, waves, sharded, TimingMode::Analytic, ScheduleMode::Barrier)
-    }
-
-    /// [`chain_run`] under the given timing and schedule modes.
-    fn chain_run_in(
-        topology: Topology,
-        serving: &ServingConfig,
-        waves: usize,
-        sharded: bool,
-        timing: TimingMode,
-        schedule: ScheduleMode,
-    ) -> SimReport {
-        let chip = ChipSpec::chip_s();
-        let stage = mvm_program(chip.cores, waves);
-        let chips = topology.chips();
-        let loads: Vec<ChipLoad<'_>> = (0..chips)
-            .map(|c| {
-                let load = ChipLoad::new(std::slice::from_ref(&stage));
-                if c + 1 < chips {
-                    load.with_handoff(c + 1, 4096)
-                } else {
-                    load
-                }
-            })
-            .collect();
-        SystemSimulator::new(chip, topology)
-            .with_timing_mode(timing)
-            .with_schedule_mode(schedule)
-            .with_sharded(sharded)
-            .run_serving(&loads, serving)
-            .expect("serves")
-    }
-
-    fn bursty() -> TrafficModel {
-        TrafficModel::Mmpp {
-            calm_rate_per_s: 8e4,
-            burst_rate_per_s: 9e5,
-            mean_calm_s: 1e-3,
-            mean_burst_s: 3e-4,
-        }
-    }
-
-    /// Poisson, MMPP, and replayed-trace sources for one seed.
-    fn sources(seed: u64) -> Vec<TrafficSpec> {
-        vec![
-            poisson(2.5e5, seed, 30),
-            TrafficSpec::Synthetic { model: bursty(), seed, requests: 30 },
-            TrafficSpec::Trace(RequestTrace::synthesize(
-                TrafficModel::Poisson { rate_per_s: 3e5 },
-                seed ^ 0x5eed,
-                24,
-            )),
-        ]
-    }
-
-    fn policies() -> [BatchPolicy; 3] {
-        [
-            BatchPolicy::Immediate,
-            BatchPolicy::MaxSize(4),
-            BatchPolicy::Deadline { max_size: 6, timeout_ns: 2e4 },
-        ]
-    }
-
-    #[test]
-    fn sharded_serving_matches_single_threaded_across_the_matrix() {
-        // Analytic barrier runs cover every topology, seed, source and
-        // policy; the closed-loop and interleaved legs run ring:2 on
-        // one seed.
-        let mut legs = Vec::new();
-        for topology in [Topology::ring(2), Topology::fully_connected(4)] {
-            for seed in [3u64, 17, 29] {
-                legs.push((topology.clone(), seed, TimingMode::Analytic, ScheduleMode::Barrier));
+/// A `chips`-long hand-off chain on `topology`, every chip active,
+/// served on the calendar queue or the reference heap.
+fn chain_run(
+    topology: Topology,
+    serving: &ServingConfig,
+    waves: usize,
+    timing: TimingMode,
+    schedule: ScheduleMode,
+    reference: bool,
+) -> SimReport {
+    let chip = ChipSpec::chip_s();
+    let stage = mvm_program(chip.cores, waves);
+    let chips = topology.chips();
+    let loads: Vec<ChipLoad<'_>> = (0..chips)
+        .map(|c| {
+            let load = ChipLoad::new(std::slice::from_ref(&stage));
+            if c + 1 < chips {
+                load.with_handoff(c + 1, 4096)
+            } else {
+                load
             }
+        })
+        .collect();
+    SystemSimulator::new(chip, topology)
+        .with_timing_mode(timing)
+        .with_schedule_mode(schedule)
+        .with_reference_queue(reference)
+        .run_serving(&loads, serving)
+        .expect("serves")
+}
+
+/// Serves `serving` on both queues and demands byte-identical
+/// serialized reports; returns the calendar queue's report.
+fn on_both_queues(
+    topology: Topology,
+    serving: &ServingConfig,
+    waves: usize,
+    timing: TimingMode,
+    schedule: ScheduleMode,
+) -> SimReport {
+    let run =
+        |reference: bool| chain_run(topology.clone(), serving, waves, timing, schedule, reference);
+    let (calendar, reference) = (run(false), run(true));
+    assert_eq!(
+        serde_json::to_string(&calendar).expect("serializes"),
+        serde_json::to_string(&reference).expect("serializes"),
+        "calendar vs reference queue ({topology}, {timing}, {schedule}, {:?})",
+        serving.policy
+    );
+    calendar
+}
+
+fn bursty() -> TrafficModel {
+    TrafficModel::Mmpp {
+        calm_rate_per_s: 8e4,
+        burst_rate_per_s: 9e5,
+        mean_calm_s: 1e-3,
+        mean_burst_s: 3e-4,
+    }
+}
+
+/// Poisson, MMPP, and replayed-trace sources for one seed.
+fn sources(seed: u64) -> Vec<TrafficSpec> {
+    vec![
+        poisson(2.5e5, seed, 30),
+        TrafficSpec::Synthetic { model: bursty(), seed, requests: 30 },
+        TrafficSpec::Trace(RequestTrace::synthesize(
+            TrafficModel::Poisson { rate_per_s: 3e5 },
+            seed ^ 0x5eed,
+            24,
+        )),
+    ]
+}
+
+fn policies() -> [BatchPolicy; 3] {
+    [
+        BatchPolicy::Immediate,
+        BatchPolicy::MaxSize(4),
+        BatchPolicy::Deadline { max_size: 6, timeout_ns: 2e4 },
+    ]
+}
+
+#[test]
+fn serving_reports_match_the_reference_queue_across_the_matrix() {
+    // Analytic barrier runs cover every topology, seed, source and
+    // policy; the closed-loop and interleaved legs run ring:2 on one
+    // seed.
+    let mut legs = Vec::new();
+    for topology in [Topology::ring(2), Topology::fully_connected(4)] {
+        for seed in [3u64, 17, 29] {
+            legs.push((topology.clone(), seed, TimingMode::Analytic, ScheduleMode::Barrier));
         }
-        legs.push((Topology::ring(2), 3, TimingMode::ClosedLoop, ScheduleMode::Barrier));
-        legs.push((Topology::ring(2), 3, TimingMode::Analytic, ScheduleMode::Interleaved));
-        for (topology, seed, timing, schedule) in legs {
-            for source in sources(seed) {
-                for policy in policies() {
-                    let config = ServingConfig::new(source.clone()).with_policy(policy);
-                    let run = |sharded: bool| {
-                        chain_run_in(topology.clone(), &config, 40, sharded, timing, schedule)
-                    };
-                    let (single, shard) = (run(false), run(true));
-                    assert!(
-                        matches!(single.engine, Some(EngineMode::SingleThread)),
-                        "oracle runs single-threaded"
-                    );
-                    assert!(
-                        matches!(shard.engine, Some(EngineMode::Sharded { .. })),
-                        "honored sharding must be recorded, not silently dropped"
-                    );
-                    assert_eq!(
-                        serde_json::to_string(&single).expect("serializes"),
-                        serde_json::to_string(&shard).expect("serializes"),
-                        "sharded vs single ({topology}, seed {seed}, {timing}, {schedule}, \
-                         {policy:?})"
-                    );
-                }
+    }
+    legs.push((Topology::ring(2), 3, TimingMode::ClosedLoop, ScheduleMode::Barrier));
+    legs.push((Topology::ring(2), 3, TimingMode::Analytic, ScheduleMode::Interleaved));
+    for (topology, seed, timing, schedule) in legs {
+        for source in sources(seed) {
+            for policy in policies() {
+                let config = ServingConfig::new(source.clone()).with_policy(policy);
+                on_both_queues(topology.clone(), &config, 40, timing, schedule);
             }
         }
     }
-
-    #[test]
-    fn sharded_serving_is_deterministic_per_seed() {
-        for seed in [5u64, 21] {
-            let config =
-                ServingConfig::new(poisson(3e5, seed, 24)).with_policy(BatchPolicy::MaxSize(4));
-            let run = || {
-                serde_json::to_string(&chain_run(Topology::ring(2), &config, 40, true))
-                    .expect("serializes")
-            };
-            assert_eq!(run(), run(), "seed {seed}: repeated sharded runs must be byte-identical");
-        }
-        let a = serde_json::to_string(&chain_run(
-            Topology::ring(2),
-            &ServingConfig::new(poisson(3e5, 5, 24)),
-            40,
-            true,
-        ))
-        .expect("serializes");
-        let b = serde_json::to_string(&chain_run(
-            Topology::ring(2),
-            &ServingConfig::new(poisson(3e5, 6, 24)),
-            40,
-            true,
-        ))
-        .expect("serializes");
-        assert_ne!(a, b, "a different seed reshapes the sharded arrival stream too");
+    // Zero-latency links: hand-offs land at the producer's own instant.
+    let mut instant = Topology::ring(2);
+    for link in &mut instant.links {
+        link.spec.latency_ns = 0.0;
     }
+    let trace = TrafficSpec::Trace(RequestTrace { arrivals_ns: vec![0.0, 100.0, 250.0] });
+    let config = ServingConfig::new(trace);
+    on_both_queues(instant, &config, 5, TimingMode::Analytic, ScheduleMode::Barrier);
+}
 
-    #[test]
-    fn backpressure_under_sharding_agrees_with_the_oracle() {
-        // A tight burst against a long service time, a 3-slot queue
-        // and one round in flight: admission control must shed the
-        // same requests at the same instants on both engines.
-        let arrivals_ns: Vec<f64> = (0..40).map(|i| 25.0 * i as f64).collect();
-        let trace = TrafficSpec::Trace(RequestTrace { arrivals_ns });
-        let config = ServingConfig::new(trace).with_queue_capacity(3).with_max_inflight(1);
-        let single = chain_run(Topology::ring(2), &config, 1_500, false);
-        let shard = chain_run(Topology::ring(2), &config, 1_500, true);
-        let serving = shard.serving.as_ref().expect("serving section present");
-        assert!(serving.dropped > 0, "the overload must shed");
-        assert_eq!(serving.requests + serving.dropped, 40, "served + dropped = offered");
-        assert_eq!(
-            serde_json::to_string(&single).expect("serializes"),
-            serde_json::to_string(&shard).expect("serializes"),
-            "drop accounting must agree byte for byte"
-        );
-    }
+#[test]
+fn backpressure_agrees_with_the_reference_queue() {
+    // A tight burst against a long service time, a 3-slot queue and
+    // one round in flight: admission control must shed the same
+    // requests at the same instants on both queues.
+    let arrivals_ns: Vec<f64> = (0..40).map(|i| 25.0 * i as f64).collect();
+    let trace = TrafficSpec::Trace(RequestTrace { arrivals_ns });
+    let config = ServingConfig::new(trace).with_queue_capacity(3).with_max_inflight(1);
+    let report = on_both_queues(
+        Topology::ring(2),
+        &config,
+        1_500,
+        TimingMode::Analytic,
+        ScheduleMode::Barrier,
+    );
+    let serving = report.serving.as_ref().expect("serving section present");
+    assert!(serving.dropped > 0, "the overload must shed");
+    assert_eq!(serving.requests + serving.dropped, 40, "served + dropped = offered");
 }
