@@ -162,7 +162,7 @@ fn ga_generation_latency(generations: usize) -> (f64, f64) {
         (0..population).map(|_| PartitionGroup::random(&mut rng, &validity)).collect();
     let mut evals = 0usize;
     let start = Instant::now();
-    let mut pool = ctx.evaluate_batch(&initial);
+    let mut pool: Vec<_> = initial.iter().map(|g| ctx.evaluate(g)).collect();
     evals += initial.len();
     for _ in 0..generations {
         pool.sort_by(|a, b| a.pgf.partial_cmp(&b.pgf).unwrap());
@@ -178,7 +178,7 @@ fn ga_generation_latency(generations: usize) -> (f64, f64) {
             children.push(child);
         }
         evals += children.len();
-        pool.extend(ctx.evaluate_batch(&children));
+        pool.extend(children.iter().map(|g| ctx.evaluate(g)));
     }
     let elapsed = start.elapsed().as_secs_f64();
     // The initial-population evaluation amortizes over the measured

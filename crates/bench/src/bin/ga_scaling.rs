@@ -1,42 +1,31 @@
 //! **GA scaling benchmark**: how the COMPASS search loop scales with
-//! population size across evaluation strategies, feeding the CI perf
+//! population size with and without its memos, feeding the CI perf
 //! trajectory with the `ga:*` record family.
 //!
 //! For each population (100 / 1000, plus 4000 in full mode) the same
 //! seeded run — ResNet18 / Chip-S at batch 8, fixed generation count,
-//! early stopping disabled — is measured along every axis the
-//! build supports:
+//! early stopping disabled — is measured along two axes:
 //!
-//! * **serial** — one thread, the sharded memo on (the baseline).
-//! * **serial-nomemo** — one thread, memoization off: every
-//!   chromosome re-evaluates all its segments. The serial-nomemo /
-//!   serial wall ratio is the *memo speedup*.
-//! * **parallel** *(feature `parallel`)* — batch fan-out over the
-//!   shared [`compass::MemoShards`] memo. The serial / parallel wall
-//!   ratio is the *parallel speedup* the CI gate pins
-//!   (`--min-speedup`).
-//! * **parallel-nomemo** *(feature `parallel`)* — fan-out with the
-//!   memo off (pure evaluation throughput, no sharing).
-//! * **parallel-spec** *(feature `parallel`)* — fan-out plus
-//!   generation-level speculative pipelining.
+//! * **serial** — the whole-group and segment memos on (the
+//!   baseline).
+//! * **serial-nomemo** — memoization off: every chromosome
+//!   re-evaluates all its segments. The serial-nomemo / serial wall
+//!   ratio is the *memo speedup*.
 //!
-//! Every axis must produce the byte-identical best chromosome and
+//! Both axes must produce the byte-identical best chromosome and
 //! fitness bits for the shared seed — the bin asserts this before
 //! recording anything, so a trajectory point can never come from a
 //! run that changed results.
 //!
 //! Records land under two prefixes: `ga:abs:pop:{N}:{axis}` are
 //! absolute ns-per-generation / evaluations-per-second walls
-//! (machine-dependent, never gated) and `ga:gate:pop:{N}:*-speedup`
-//! are same-process ratios gated on throughput. Parallel speedup is a
-//! function of the measuring host's core count, so every record
-//! carries a `host_parallelism` stamp and the baseline gate only
-//! compares records measured at matching parallelism. On a one-core
-//! host the `--min-speedup` floor is skipped with a printed note — a
-//! parallelism-1 fan-out has nothing to win.
+//! (machine-dependent, never gated) and `ga:gate:pop:{N}:memo-speedup`
+//! are same-process ratios gated on throughput. Every record carries
+//! a `host_parallelism` stamp and the baseline gate only compares
+//! records measured at matching parallelism.
 //!
 //! ```text
-//! ga_scaling [--quick] [--json BENCH_ci.json] [--min-speedup 1.3]
+//! ga_scaling [--quick] [--json BENCH_ci.json]
 //! ```
 
 use compass::fitness::{FitnessContext, FitnessKind};
@@ -47,67 +36,30 @@ use pim_arch::ChipSpec;
 use pim_model::Network;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::process::ExitCode;
 use std::time::Instant;
 
-/// The population the `--min-speedup` gate (and the committed
-/// `ga:gate:*` trajectory floor) judges: large enough that fan-out
-/// dominates scheduling overhead, small enough for CI.
-const GATED_POPULATION: usize = 1000;
-
-/// Evaluation strategies; the parallel axes only exist when the
-/// `parallel` feature is compiled in, so serial-only builds emit a
-/// trajectory with no misleading fan-out records.
+/// Evaluation strategies of the same seeded run.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Axis {
     Serial,
     SerialNomemo,
-    #[cfg(feature = "parallel")]
-    Parallel,
-    #[cfg(feature = "parallel")]
-    ParallelNomemo,
-    #[cfg(feature = "parallel")]
-    ParallelSpec,
 }
 
 impl Axis {
-    fn all() -> Vec<Axis> {
-        vec![
-            Axis::Serial,
-            Axis::SerialNomemo,
-            #[cfg(feature = "parallel")]
-            Axis::Parallel,
-            #[cfg(feature = "parallel")]
-            Axis::ParallelNomemo,
-            #[cfg(feature = "parallel")]
-            Axis::ParallelSpec,
-        ]
-    }
+    const ALL: [Axis; 2] = [Axis::Serial, Axis::SerialNomemo];
 
     /// Trajectory label (`ga:abs:pop:{N}:{label}`).
     fn label(self) -> &'static str {
         match self {
             Axis::Serial => "serial",
             Axis::SerialNomemo => "serial-nomemo",
-            #[cfg(feature = "parallel")]
-            Axis::Parallel => "parallel",
-            #[cfg(feature = "parallel")]
-            Axis::ParallelNomemo => "parallel-nomemo",
-            #[cfg(feature = "parallel")]
-            Axis::ParallelSpec => "parallel-spec",
         }
     }
 
     fn configure<'a>(self, ctx: FitnessContext<'a>) -> FitnessContext<'a> {
         match self {
-            Axis::Serial => ctx.with_parallel_eval(false),
-            Axis::SerialNomemo => ctx.with_parallel_eval(false).with_memo(false),
-            #[cfg(feature = "parallel")]
-            Axis::Parallel => ctx,
-            #[cfg(feature = "parallel")]
-            Axis::ParallelNomemo => ctx.with_memo(false),
-            #[cfg(feature = "parallel")]
-            Axis::ParallelSpec => ctx.with_speculation(true),
+            Axis::Serial => ctx,
+            Axis::SerialNomemo => ctx.with_memo(false),
         }
     }
 }
@@ -199,14 +151,10 @@ fn measure(f: &Fixture, pop: usize, gens: usize, runs: usize, axis: Axis) -> Mea
     }
 }
 
-fn main() -> ExitCode {
+fn main() {
     let quick = has_flag("--quick");
     let json = arg_value("--json");
-    let min_speedup: f64 = arg_value("--min-speedup")
-        .map(|v| v.parse().unwrap_or_else(|e| panic!("bad --min-speedup {v:?}: {e}")))
-        .unwrap_or(0.0);
-    let pops: &[usize] =
-        if quick { &[100, GATED_POPULATION] } else { &[100, GATED_POPULATION, 4000] };
+    let pops: &[usize] = if quick { &[100, 1000] } else { &[100, 1000, 4000] };
     // Always at least best-of-2: the fastest wall discards the run
     // that paid one-time process warm-up (page faults, allocator
     // growth) — with a single run the first-measured axis absorbs all
@@ -218,17 +166,13 @@ fn main() -> ExitCode {
     // same reason.
     measure(&f, 50, 1, 1, Axis::Serial);
     let mut records: Vec<BenchRecord> = Vec::new();
-    // The gated parallel speedup at GATED_POPULATION, if measured.
-    #[cfg_attr(not(feature = "parallel"), allow(unused_mut))]
-    let mut gated_parallel_speedup: Option<f64> = None;
 
     for &pop in pops {
-        let axes = Axis::all();
         let measured: Vec<(Axis, Measurement)> =
-            axes.iter().map(|&axis| (axis, measure(&f, pop, gens, runs, axis))).collect();
+            Axis::ALL.iter().map(|&axis| (axis, measure(&f, pop, gens, runs, axis))).collect();
 
-        // Byte-identity across every axis before anything is
-        // recorded: the scaling machinery may only change wall clock.
+        // Byte-identity across both axes before anything is recorded:
+        // the memo may only change wall clock.
         let (_, serial) = measured.iter().find(|(a, _)| *a == Axis::Serial).expect("serial axis");
         for (axis, m) in &measured {
             assert_eq!(
@@ -249,12 +193,6 @@ fn main() -> ExitCode {
             measured.iter().find(|(a, _)| *a == want).map(|(_, m)| m.wall_ns).expect("axis ran")
         };
         let memo_speedup = wall_of(Axis::SerialNomemo) / wall_of(Axis::Serial);
-        #[cfg(feature = "parallel")]
-        let parallel_speedup = wall_of(Axis::Serial) / wall_of(Axis::Parallel);
-        #[cfg(feature = "parallel")]
-        if pop == GATED_POPULATION {
-            gated_parallel_speedup = Some(parallel_speedup);
-        }
 
         print_table(
             &format!("GA scaling, population {pop} ({gens} generations, best of {runs})"),
@@ -272,8 +210,6 @@ fn main() -> ExitCode {
                 .collect::<Vec<_>>(),
         );
         println!("memo speedup at population {pop}: {memo_speedup:.2}x");
-        #[cfg(feature = "parallel")]
-        println!("parallel speedup at population {pop}: {parallel_speedup:.2}x");
 
         let record = |name: String, makespan_ns: f64, throughput_ips: f64| {
             BenchRecord { name, makespan_ns, throughput_ips, host_parallelism: None }
@@ -295,40 +231,10 @@ fn main() -> ExitCode {
             1.0 / memo_speedup,
             memo_speedup,
         ));
-        #[cfg(feature = "parallel")]
-        records.push(record(
-            format!("ga:gate:pop:{pop}:parallel-speedup"),
-            1.0 / parallel_speedup,
-            parallel_speedup,
-        ));
     }
 
     if let Some(path) = json {
         compass_bench::append_records(&path, records);
         println!("\nrecorded GA scaling trajectory into {path}");
     }
-
-    if min_speedup > 0.0 {
-        let parallelism = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        if cfg!(not(feature = "parallel")) {
-            println!(
-                "note: ga parallel-speedup gate skipped (built without the `parallel` feature)"
-            );
-        } else if parallelism < 2 {
-            println!(
-                "note: ga parallel-speedup gate skipped ({parallelism} hardware thread — a \
-                 parallelism-1 fan-out has nothing to win)"
-            );
-        } else {
-            let speedup = gated_parallel_speedup.expect("gated population always measured");
-            if speedup < min_speedup {
-                eprintln!(
-                    "ga_scaling: parallel speedup {speedup:.2}x at population \
-                     {GATED_POPULATION} below required {min_speedup:.2}x"
-                );
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    ExitCode::SUCCESS
 }

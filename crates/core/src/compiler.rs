@@ -166,6 +166,20 @@ impl CompileOptions {
         if self.chunks_per_sample == 0 {
             return Err(CompileError::InvalidOptions("chunks per sample must be >= 1".into()));
         }
+        if self.strategy == Strategy::Compass {
+            let ga = &self.ga;
+            if ga.population == 0 || ga.n_sel == 0 {
+                return Err(CompileError::InvalidOptions(
+                    "GA population and n_sel must be >= 1".into(),
+                ));
+            }
+            if !(0.0..=1.0).contains(&ga.crossover_rate) {
+                return Err(CompileError::InvalidOptions(format!(
+                    "GA crossover rate {} is not a probability in [0, 1]",
+                    ga.crossover_rate
+                )));
+            }
+        }
         Ok(())
     }
 }
@@ -402,11 +416,25 @@ mod tests {
     }
 
     #[test]
-    fn rejects_zero_batch() {
+    fn rejects_degenerate_options() {
         let compiler = Compiler::new(ChipSpec::chip_s());
-        let err =
-            compiler.compile(&zoo::tiny_cnn(), &fast_options().with_batch_size(0)).unwrap_err();
-        assert!(matches!(err, CompileError::InvalidOptions(_)));
+        let ga = GaParams::fast();
+        let degenerate = [
+            fast_options().with_batch_size(0),
+            fast_options().with_ga(GaParams { population: 0, ..ga }),
+            fast_options().with_ga(GaParams { n_sel: 0, ..ga }),
+            fast_options().with_ga(GaParams { crossover_rate: 1.5, ..ga }),
+            fast_options().with_ga(GaParams { crossover_rate: f64::NAN, ..ga }),
+        ];
+        for options in &degenerate {
+            let err = compiler.compile(&zoo::tiny_cnn(), options).unwrap_err();
+            assert!(matches!(err, CompileError::InvalidOptions(_)), "{options:?}: {err:?}");
+        }
+        // GA parameters only bind the strategy that runs the GA.
+        let greedy = fast_options()
+            .with_strategy(Strategy::Greedy)
+            .with_ga(GaParams { population: 0, ..ga });
+        assert!(compiler.compile(&zoo::tiny_cnn(), &greedy).is_ok());
     }
 
     #[test]

@@ -18,27 +18,16 @@
 //!   chromosome made of known segments costs per-partition clones and
 //!   the group fold — no planning, packing, or estimation.
 //!
-//! Both memos live behind [`crate::memo::MemoShards`]: lock-per-shard
-//! concurrent maps whose hot read path takes only a shared lock on
-//! one shard, so evaluation is `&self` and a population's worth of
-//! concurrent lookups never contend. Because every memoized value is
-//! a **pure function of its key** (a segment's plan/estimate depends
-//! only on its span; a group's evaluation only on its cut vector —
-//! given the context's fixed knobs), racing writers always carry
-//! interchangeable values and first-writer-wins insertion is sound.
-//! That same purity is what makes the GA's speculative pipeline (see
-//! [`crate::ga::run`]) byte-identical to serial evaluation: a
-//! speculated result is either hit (saving the work) or harmlessly
-//! retained, never *different*.
-//!
-//! Under the `parallel` feature, [`FitnessContext::evaluate_batch`]
-//! dedupes in-batch misses first, fans out only the *true segment
-//! misses* by reference, then assembles the miss groups in parallel
-//! from the now-warm segment memo.
+//! Both memos are single-threaded maps with interior mutability, so
+//! evaluation is `&self`. Every memoized value is a **pure function of
+//! its key** (a segment's plan/estimate depends only on its span; a
+//! group's evaluation only on its cut vector — given the context's
+//! fixed knobs), which is why a memo-off run
+//! ([`FitnessContext::with_memo`]) scores every candidate identically.
 
 use crate::decompose::UnitSequence;
 use crate::estimate::{Estimator, GroupEstimate, PartitionEstimate, SystemScaling};
-use crate::memo::MemoShards;
+use crate::memo::Memo;
 use crate::partition::{Partition, PartitionGroup};
 use crate::plan::{GroupPlan, PartitionPlan, SegmentPlanner};
 use crate::replication::optimize_partition;
@@ -175,27 +164,11 @@ pub struct FitnessContext<'a> {
     /// SLO-aware serving objective: score p99-under-load instead of
     /// bare latency.
     serving_slo: Option<ServingSlo>,
-    cache: MemoShards<Arc<[usize]>, Arc<EvaluatedGroup>>,
-    segments: MemoShards<(usize, usize), Arc<SegmentEval>>,
+    cache: Memo<Arc<[usize]>, Arc<EvaluatedGroup>>,
+    segments: Memo<(usize, usize), Arc<SegmentEval>>,
     /// `false` disables both memos (every evaluation recomputes) —
     /// the benchmark axis that prices what the memo buys.
     memo_enabled: bool,
-    /// `false` keeps batch evaluation on the calling thread even in a
-    /// `parallel` build — the benchmark's serial axis. Results are
-    /// identical either way.
-    parallel_eval: bool,
-    /// Opt-in for the GA's speculative generation pipeline.
-    speculation: bool,
-}
-
-// The context is shared by `&self` across the batch fan-out and the
-// speculative pool; everything it holds must be lock-free-shareable
-// (the memos carry their own per-shard locks).
-#[cfg(feature = "parallel")]
-#[allow(dead_code)]
-fn _context_is_sync() {
-    fn assert_sync<T: Sync>() {}
-    assert_sync::<FitnessContext<'static>>();
 }
 
 impl<'a> FitnessContext<'a> {
@@ -221,11 +194,9 @@ impl<'a> FitnessContext<'a> {
             system: None,
             system_scaling: None,
             serving_slo: None,
-            cache: MemoShards::default(),
-            segments: MemoShards::default(),
+            cache: Memo::default(),
+            segments: Memo::default(),
             memo_enabled: true,
-            parallel_eval: true,
-            speculation: false,
         }
     }
 
@@ -249,39 +220,8 @@ impl<'a> FitnessContext<'a> {
         self
     }
 
-    /// Keeps batch evaluation on the calling thread even when the
-    /// `parallel` feature is compiled in (the benchmark's serial
-    /// axis). Scores are identical either way; only the wall clock
-    /// differs. No effect in a serial build.
-    pub fn with_parallel_eval(mut self, enabled: bool) -> Self {
-        self.parallel_eval = enabled;
-        self
-    }
-
-    /// Opts the GA into generation-level speculative evaluation (see
-    /// [`crate::ga::run`]). Inert without the `parallel` feature or
-    /// with the memo disabled — speculation works by prewarming the
-    /// shared memo, so without a memo there is nowhere for
-    /// speculated results to land.
-    pub fn with_speculation(mut self, enabled: bool) -> Self {
-        self.speculation = enabled;
-        self
-    }
-
-    /// Whether the GA should run its speculative pipeline: requires
-    /// the `parallel` feature, the [`Self::with_speculation`] opt-in,
-    /// and an enabled memo.
-    pub fn speculation_enabled(&self) -> bool {
-        cfg!(feature = "parallel") && self.speculation && self.memo_enabled
-    }
-
-    /// Whether batch evaluation fans out across threads.
-    pub fn parallel_eval_enabled(&self) -> bool {
-        cfg!(feature = "parallel") && self.parallel_eval
-    }
-
     /// Pre-sizes both memos for `population` more chromosomes so
-    /// steady-state generations never rehash mid-batch. The segment
+    /// steady-state generations never rehash mid-generation. The segment
     /// reservation is capped by the finite `(start, end)` key space.
     pub fn reserve_for_population(&self, population: usize) {
         if !self.memo_enabled {
@@ -381,35 +321,17 @@ impl<'a> FitnessContext<'a> {
             .with_system_scaling(self.system_scaling)
     }
 
-    /// Plans, replication-optimizes, and estimates one segment. Pure
-    /// with respect to shared immutable state, so segment misses can
-    /// fan out across threads.
-    fn compute_segment(
-        planner: &SegmentPlanner<'_>,
-        estimator: &Estimator<'_>,
-        chip: &ChipSpec,
-        batch: usize,
-        partition: Partition,
-    ) -> SegmentEval {
-        let mut plan = planner.plan(0, partition);
-        optimize_partition(&mut plan, chip);
-        let estimate = estimator.estimate_partition(&plan, batch);
+    /// Plans, replication-optimizes, and estimates one segment.
+    fn compute_segment(&self, partition: Partition) -> SegmentEval {
+        let mut plan = self.planner.plan(0, partition);
+        optimize_partition(&mut plan, self.chip);
+        let estimate = self.estimator().estimate_partition(&plan, self.batch);
         SegmentEval { plan, estimate }
     }
 
-    /// Recalls (or computes and memoizes) one segment. Safe to call
-    /// from many threads: the memo's first-writer-wins insert keeps
-    /// racing computations interchangeable.
+    /// Recalls (or computes and memoizes) one segment.
     fn segment_eval(&self, partition: Partition) -> Arc<SegmentEval> {
-        let compute = || {
-            Arc::new(Self::compute_segment(
-                &self.planner,
-                &self.estimator(),
-                self.chip,
-                self.batch,
-                partition,
-            ))
-        };
+        let compute = || Arc::new(self.compute_segment(partition));
         if !self.memo_enabled {
             return compute();
         }
@@ -420,11 +342,10 @@ impl<'a> FitnessContext<'a> {
         self.segments.insert(key, compute())
     }
 
-    /// Evaluates (or recalls) a group. Cache hits are a shared-lock
-    /// lookup plus a pointer bump; misses assemble the group from
-    /// memoized segments and compute only what no earlier chromosome
-    /// already paid for. `&self`: any number of threads may evaluate
-    /// concurrently.
+    /// Evaluates (or recalls) a group. Cache hits are a hash lookup
+    /// plus a pointer bump; misses assemble the group from memoized
+    /// segments and compute only what no earlier chromosome already
+    /// paid for.
     pub fn evaluate(&self, group: &PartitionGroup) -> Arc<EvaluatedGroup> {
         if !self.memo_enabled {
             return Arc::new(self.evaluate_uncached(group));
@@ -434,83 +355,6 @@ impl<'a> FitnessContext<'a> {
         }
         let eval = Arc::new(self.evaluate_uncached(group));
         self.cache.insert(group.cuts().into(), eval)
-    }
-
-    /// Evaluates a whole batch of groups, recalling cached results and
-    /// computing the misses. Under the `parallel` feature (unless
-    /// [`Self::with_parallel_eval`] opted out) in-batch misses are
-    /// deduped first, the *true segment misses* — the bulk of the
-    /// work — fan out across threads by reference, and the miss
-    /// groups are then assembled in parallel from the warm segment
-    /// memo.
-    ///
-    /// Results are identical to calling [`Self::evaluate`] in order,
-    /// whatever the thread count.
-    pub fn evaluate_batch(&self, groups: &[PartitionGroup]) -> Vec<Arc<EvaluatedGroup>> {
-        #[cfg(feature = "parallel")]
-        if self.parallel_eval {
-            if !self.memo_enabled {
-                use rayon::prelude::*;
-                return groups
-                    .par_iter()
-                    .map(|group| Arc::new(self.evaluate_uncached(group)))
-                    .collect();
-            }
-            self.warm_batch_parallel(groups);
-        }
-        groups.iter().map(|group| self.evaluate(group)).collect()
-    }
-
-    /// Parallel warm-up for [`Self::evaluate_batch`]: dedupes the
-    /// batch's cache misses, fans the unique *segment* misses out
-    /// across threads, then assembles the miss groups in parallel.
-    /// Afterwards every group in the batch is a memo hit.
-    #[cfg(feature = "parallel")]
-    fn warm_batch_parallel(&self, groups: &[PartitionGroup]) {
-        use fxhash::FxHashSet;
-        use rayon::prelude::*;
-        // Unique cache misses, first-occurrence order.
-        let mut misses: Vec<&PartitionGroup> = Vec::new();
-        let mut miss_cuts: FxHashSet<&[usize]> = FxHashSet::default();
-        for group in groups {
-            if !self.cache.contains(group.cuts()) && miss_cuts.insert(group.cuts()) {
-                misses.push(group);
-            }
-        }
-        if misses.is_empty() {
-            return;
-        }
-        // Unique segment misses, first-occurrence order: N children
-        // sharing a span compute it exactly once per generation
-        // instead of racing.
-        let mut seg_misses: Vec<Partition> = Vec::new();
-        let mut seen: FxHashSet<(usize, usize)> = FxHashSet::default();
-        for group in &misses {
-            for part in group.partitions() {
-                let key = (part.start, part.end);
-                if !self.segments.contains(&key) && seen.insert(key) {
-                    seg_misses.push(part);
-                }
-            }
-        }
-        if !seg_misses.is_empty() {
-            let planner = &self.planner;
-            let estimator = self.estimator();
-            let chip = self.chip;
-            let batch = self.batch;
-            let fresh: Vec<SegmentEval> = seg_misses
-                .par_iter()
-                .map(|&part| Self::compute_segment(planner, &estimator, chip, batch, part))
-                .collect();
-            for (part, eval) in seg_misses.iter().zip(fresh) {
-                self.segments.insert((part.start, part.end), Arc::new(eval));
-            }
-        }
-        // Group assembly (segment recall + the fold) is cheap per
-        // group but a generation has hundreds of them — fan it out
-        // too, inserting straight into the sharded memo.
-        let _warmed: Vec<Arc<EvaluatedGroup>> =
-            misses.par_iter().map(|group| self.evaluate(group)).collect();
     }
 
     /// The evaluation itself: per-segment plan/replicate/estimate
@@ -702,29 +546,6 @@ mod tests {
     }
 
     #[test]
-    fn evaluate_batch_matches_sequential_evaluate() {
-        let f = fixture();
-        let mut rng = StdRng::seed_from_u64(17);
-        let groups: Vec<PartitionGroup> =
-            (0..12).map(|_| PartitionGroup::random(&mut rng, &f.validity)).collect();
-        // Include duplicates to exercise the first-occurrence dedup.
-        let mut batch_input = groups.clone();
-        batch_input.extend(groups.iter().take(3).cloned());
-
-        let seq_ctx =
-            FitnessContext::new(&f.network, &f.seq, &f.validity, &f.chip, 4, FitnessKind::Latency);
-        let sequential: Vec<f64> = batch_input.iter().map(|g| seq_ctx.evaluate(g).pgf).collect();
-
-        let batch_ctx =
-            FitnessContext::new(&f.network, &f.seq, &f.validity, &f.chip, 4, FitnessKind::Latency);
-        let batched: Vec<f64> =
-            batch_ctx.evaluate_batch(&batch_input).iter().map(|e| e.pgf).collect();
-        assert_eq!(sequential, batched);
-        assert_eq!(seq_ctx.cache_len(), batch_ctx.cache_len());
-        assert_eq!(seq_ctx.segment_cache_len(), batch_ctx.segment_cache_len());
-    }
-
-    #[test]
     fn memo_off_recomputes_but_scores_identically() {
         let f = fixture();
         let mut rng = StdRng::seed_from_u64(31);
@@ -735,8 +556,8 @@ mod tests {
         let bare =
             FitnessContext::new(&f.network, &f.seq, &f.validity, &f.chip, 4, FitnessKind::Latency)
                 .with_memo(false);
-        let hot: Vec<f64> = memoized.evaluate_batch(&groups).iter().map(|e| e.pgf).collect();
-        let cold: Vec<f64> = bare.evaluate_batch(&groups).iter().map(|e| e.pgf).collect();
+        let hot: Vec<f64> = groups.iter().map(|g| memoized.evaluate(g).pgf).collect();
+        let cold: Vec<f64> = groups.iter().map(|g| bare.evaluate(g).pgf).collect();
         assert_eq!(hot, cold, "the memo must never change scores");
         assert_eq!(bare.cache_len(), 0, "disabled memo stores nothing");
         assert_eq!(bare.segment_cache_len(), 0);
@@ -762,28 +583,6 @@ mod tests {
         assert!(Arc::try_unwrap(eval).is_ok(), "no hidden owners may remain after release");
         // Releasing an unknown chromosome is a no-op.
         assert!(ctx.release(group.cuts()).is_none());
-    }
-
-    #[cfg(feature = "parallel")]
-    #[test]
-    fn serial_and_parallel_batches_agree_exactly() {
-        let f = fixture();
-        let mut rng = StdRng::seed_from_u64(41);
-        let groups: Vec<PartitionGroup> =
-            (0..40).map(|_| PartitionGroup::random(&mut rng, &f.validity)).collect();
-        let serial =
-            FitnessContext::new(&f.network, &f.seq, &f.validity, &f.chip, 4, FitnessKind::Latency)
-                .with_parallel_eval(false);
-        let parallel =
-            FitnessContext::new(&f.network, &f.seq, &f.validity, &f.chip, 4, FitnessKind::Latency);
-        assert!(!serial.parallel_eval_enabled());
-        assert!(parallel.parallel_eval_enabled());
-        let a: Vec<u64> = serial.evaluate_batch(&groups).iter().map(|e| e.pgf.to_bits()).collect();
-        let b: Vec<u64> =
-            parallel.evaluate_batch(&groups).iter().map(|e| e.pgf.to_bits()).collect();
-        assert_eq!(a, b, "fan-out must be bit-identical to the serial path");
-        assert_eq!(serial.cache_len(), parallel.cache_len());
-        assert_eq!(serial.segment_cache_len(), parallel.segment_cache_len());
     }
 
     #[test]

@@ -1,261 +1,75 @@
-//! Sharded concurrent memo tables for the GA's fitness pipeline.
+//! The single-threaded memo table behind the GA's fitness pipeline.
 //!
-//! [`MemoShards`] splits one hash map into a power-of-two array of
-//! `RwLock<FxHashMap>` shards, picked by key hash. The hot read path
-//! (a memo *hit*) takes only a shared read lock on one shard, so a
-//! whole population's worth of concurrent lookups never contend with
-//! each other; a write lock is taken only on miss-insert, and only on
-//! the one shard owning the key. Inserts are *first-writer-wins*:
-//! when two threads race to memoize the same key, the first value is
-//! retained and handed back to both — which is only sound because
-//! every value stored here is a pure function of its key, so racing
-//! writers always carry interchangeable values.
+//! [`Memo`] is an `FxHashMap` in a [`RefCell`], so the owning
+//! [`crate::fitness::FitnessContext`] can memoize through `&self`.
+//! Every operation borrows the map only for its own duration and
+//! hands values out by clone (callers store `Arc`s, so a clone is a
+//! pointer bump). No borrow is ever held across a computation: a
+//! group evaluation re-enters the segment memo while its own key is
+//! still a miss.
 
-use fxhash::{FxHashMap, FxHasher};
+use fxhash::FxHashMap;
 use std::borrow::Borrow;
-use std::hash::{Hash, Hasher};
-use std::sync::RwLock;
+use std::cell::RefCell;
+use std::hash::Hash;
 
-/// Default shard count: plenty of spread for tens of worker threads
-/// without wasting locks on tiny populations.
-const DEFAULT_SHARDS: usize = 32;
-
-/// A concurrent insert-mostly memo map sharded by key hash. See the
-/// module docs for the locking discipline and the purity requirement
-/// on values.
-pub struct MemoShards<K, V> {
-    shards: Box<[RwLock<FxHashMap<K, V>>]>,
+/// A memo map with interior mutability; see the module docs.
+pub(crate) struct Memo<K, V> {
+    map: RefCell<FxHashMap<K, V>>,
 }
 
-impl<K: Hash + Eq, V: Clone> Default for MemoShards<K, V> {
+impl<K, V> Default for Memo<K, V> {
     fn default() -> Self {
-        Self::with_shards(DEFAULT_SHARDS)
+        Self { map: RefCell::new(FxHashMap::default()) }
     }
 }
 
-impl<K: Hash + Eq, V: Clone> MemoShards<K, V> {
-    /// A memo with `shard_count` shards (rounded up to a power of
-    /// two, clamped to `1..=1024`).
-    pub fn with_shards(shard_count: usize) -> Self {
-        let count = shard_count.next_power_of_two().clamp(1, 1024);
-        let shards = (0..count).map(|_| RwLock::new(FxHashMap::default())).collect();
-        Self { shards }
-    }
-
-    /// Number of shards (always a power of two).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The shard a key lives in. Exposed so tests can construct
-    /// same-shard key sets and hammer a single lock.
-    pub fn shard_index<Q>(&self, key: &Q) -> usize
+impl<K: Hash + Eq, V: Clone> Memo<K, V> {
+    /// Recalls a memoized value.
+    pub(crate) fn get<Q>(&self, key: &Q) -> Option<V>
     where
         K: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
     {
-        let mut hasher = FxHasher::default();
-        key.hash(&mut hasher);
-        // Multiply-shift range reduction keeps the well-mixed high
-        // bits of the Fx hash and never shifts by the full width.
-        ((hasher.finish() as u128 * self.shards.len() as u128) >> 64) as usize
-    }
-
-    fn shard_for<Q>(&self, key: &Q) -> &RwLock<FxHashMap<K, V>>
-    where
-        K: Borrow<Q>,
-        Q: Hash + Eq + ?Sized,
-    {
-        &self.shards[self.shard_index(key)]
-    }
-
-    /// Recalls a memoized value (clones the stored `V`, which callers
-    /// keep cheap — an `Arc` here — so the read lock is held only for
-    /// the lookup).
-    pub fn get<Q>(&self, key: &Q) -> Option<V>
-    where
-        K: Borrow<Q>,
-        Q: Hash + Eq + ?Sized,
-    {
-        self.shard_for(key).read().expect("memo shard poisoned").get(key).cloned()
+        self.map.borrow().get(key).cloned()
     }
 
     /// Whether a key is memoized.
-    pub fn contains<Q>(&self, key: &Q) -> bool
+    pub(crate) fn contains<Q>(&self, key: &Q) -> bool
     where
         K: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
     {
-        self.shard_for(key).read().expect("memo shard poisoned").contains_key(key)
+        self.map.borrow().contains_key(key)
     }
 
-    /// Memoizes `value` under `key` unless the key is already present
-    /// (first writer wins), and returns the value the memo retains —
-    /// callers must continue with the returned value, not their
-    /// argument, so every holder shares the one stored allocation.
-    pub fn insert(&self, key: K, value: V) -> V {
-        let mut shard =
-            self.shards[self.shard_index::<K>(&key)].write().expect("memo shard poisoned");
-        shard.entry(key).or_insert(value).clone()
+    /// Memoizes `value` under `key` and hands it back.
+    pub(crate) fn insert(&self, key: K, value: V) -> V {
+        self.map.borrow_mut().insert(key, value.clone());
+        value
     }
 
-    /// Drops one entry, returning the retained value if it was
-    /// present.
-    pub fn remove<Q>(&self, key: &Q) -> Option<V>
+    /// Drops one entry, returning its value if it was present.
+    pub(crate) fn remove<Q>(&self, key: &Q) -> Option<V>
     where
         K: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
     {
-        self.shard_for(key).write().expect("memo shard poisoned").remove(key)
+        self.map.borrow_mut().remove(key)
     }
 
-    /// Total entries across all shards.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().expect("memo shard poisoned").len()).sum()
+    /// Number of entries.
+    pub(crate) fn len(&self) -> usize {
+        self.map.borrow().len()
     }
 
-    /// Whether the memo holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.read().expect("memo shard poisoned").is_empty())
+    /// Drops every entry.
+    pub(crate) fn clear(&self) {
+        self.map.borrow_mut().clear();
     }
 
-    /// Empties every shard.
-    pub fn clear(&self) {
-        for shard in self.shards.iter() {
-            shard.write().expect("memo shard poisoned").clear();
-        }
-    }
-
-    /// Pre-sizes every shard for `additional` more entries spread
-    /// evenly, so a batch of inserts never rehashes mid-flight.
-    pub fn reserve(&self, additional: usize) {
-        let per_shard = additional / self.shards.len() + 1;
-        for shard in self.shards.iter() {
-            shard.write().expect("memo shard poisoned").reserve(per_shard);
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::sync::Arc;
-
-    #[test]
-    fn insert_get_remove_roundtrip() {
-        let memo: MemoShards<(usize, usize), Arc<usize>> = MemoShards::default();
-        assert!(memo.is_empty());
-        assert_eq!(memo.get(&(1, 2)), None);
-        let kept = memo.insert((1, 2), Arc::new(7));
-        assert_eq!(*kept, 7);
-        assert_eq!(memo.len(), 1);
-        assert!(memo.contains(&(1, 2)));
-        assert_eq!(*memo.get(&(1, 2)).unwrap(), 7);
-        assert_eq!(*memo.remove(&(1, 2)).unwrap(), 7);
-        assert!(memo.is_empty());
-    }
-
-    #[test]
-    fn first_writer_wins() {
-        let memo: MemoShards<usize, Arc<usize>> = MemoShards::default();
-        let first = memo.insert(9, Arc::new(1));
-        let second = memo.insert(9, Arc::new(2));
-        assert_eq!(*first, 1);
-        assert_eq!(*second, 1, "a later insert must hand back the retained value");
-        assert!(Arc::ptr_eq(&first, &second));
-        assert_eq!(memo.len(), 1);
-    }
-
-    #[test]
-    fn borrowed_key_lookups() {
-        let memo: MemoShards<Arc<[usize]>, Arc<usize>> = MemoShards::default();
-        let key: Arc<[usize]> = vec![3, 5, 8].into();
-        memo.insert(Arc::clone(&key), Arc::new(42));
-        // Lookups by `&[usize]` hash and shard identically to the
-        // owned `Arc<[usize]>` key.
-        let slice: &[usize] = &[3, 5, 8];
-        assert_eq!(memo.shard_index(slice), memo.shard_index::<[usize]>(key.as_ref()));
-        assert_eq!(*memo.get(slice).unwrap(), 42);
-        assert!(memo.contains(slice));
-    }
-
-    #[test]
-    fn shard_count_rounds_to_power_of_two() {
-        assert_eq!(MemoShards::<usize, usize>::with_shards(0).shard_count(), 1);
-        assert_eq!(MemoShards::<usize, usize>::with_shards(5).shard_count(), 8);
-        assert_eq!(MemoShards::<usize, usize>::with_shards(64).shard_count(), 64);
-    }
-
-    #[test]
-    fn clear_and_reserve() {
-        let memo: MemoShards<usize, usize> = MemoShards::with_shards(4);
-        memo.reserve(1000);
-        for i in 0..100 {
-            memo.insert(i, i * i);
-        }
-        assert_eq!(memo.len(), 100);
-        memo.clear();
-        assert!(memo.is_empty());
-    }
-
-    #[test]
-    fn keys_spread_across_shards() {
-        let memo: MemoShards<(usize, usize), usize> = MemoShards::with_shards(16);
-        let mut hit = vec![false; memo.shard_count()];
-        for start in 0..64 {
-            for end in start + 1..start + 9 {
-                hit[memo.shard_index(&(start, end))] = true;
-            }
-        }
-        let used = hit.iter().filter(|&&h| h).count();
-        assert!(used >= memo.shard_count() / 2, "segment keys bunch onto {used} shards");
-    }
-
-    /// The ISSUE's shard hammer: many scope workers race get/insert
-    /// against keys all living in one shard; every reader must see
-    /// the first writer's value and the shard must never lose or
-    /// duplicate entries.
-    #[cfg(feature = "parallel")]
-    #[test]
-    fn one_shard_survives_concurrent_hammering() {
-        let memo: MemoShards<(usize, usize), Arc<usize>> = MemoShards::with_shards(8);
-        // Collect keys that all map to shard 0.
-        let keys: Vec<(usize, usize)> = (0..10_000)
-            .flat_map(|a| [(a, a + 1), (a, a + 2)])
-            .filter(|k| memo.shard_index(k) == 0)
-            .take(64)
-            .collect();
-        assert!(keys.len() >= 32, "need a same-shard key population");
-        let observed = std::sync::Mutex::new(Vec::new());
-        rayon::scope(|s| {
-            for worker in 0..16 {
-                let memo = &memo;
-                let keys = &keys;
-                let observed = &observed;
-                s.spawn(move |_| {
-                    let mut seen = Vec::new();
-                    for round in 0..50 {
-                        for (i, key) in keys.iter().enumerate() {
-                            // Writers disagree on purpose: the memo's
-                            // first-writer-wins contract is what keeps
-                            // racing values interchangeable in prod.
-                            let kept = memo.insert(*key, Arc::new(worker * 1000 + round));
-                            seen.push((i, *kept));
-                            let read = memo.get(key).expect("inserted above");
-                            seen.push((i, *read));
-                        }
-                    }
-                    observed.lock().unwrap().extend(seen);
-                });
-            }
-        });
-        // Exactly one value per key, seen consistently by every
-        // worker on every round.
-        let mut winner: FxHashMap<usize, usize> = FxHashMap::default();
-        for (key_idx, value) in observed.into_inner().unwrap() {
-            let entry = winner.entry(key_idx).or_insert(value);
-            assert_eq!(*entry, value, "key {key_idx} changed value mid-run");
-        }
-        assert_eq!(memo.len(), keys.len());
+    /// Pre-sizes the map for `additional` more entries.
+    pub(crate) fn reserve(&self, additional: usize) {
+        self.map.borrow_mut().reserve(additional);
     }
 }
