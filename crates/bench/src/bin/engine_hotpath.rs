@@ -10,7 +10,10 @@
 //!   both the calendar queue and the retired binary-heap reference.
 //!   Their in-process ratio is the *queue speedup* — the machine-
 //!   independent number the CI gate pins (`--min-speedup`, and the
-//!   `hotpath:gate:queue-speedup` trajectory record).
+//!   `hotpath:gate:queue-speedup` trajectory record). The two queues
+//!   are timed in back-to-back pairs and the speedup is the median
+//!   per-pair ratio, so a host slowdown that spans one pair moves one
+//!   ratio instead of one side of the quotient.
 //! * **engine dispatch** — the same churn through full
 //!   [`pim_engine::Engine`] component dispatch (batched same-instant
 //!   delivery, no per-event component take/put), on both queues.
@@ -186,10 +189,34 @@ fn ga_generation_latency(generations: usize) -> (f64, f64) {
     (elapsed * 1e9 / generations as f64, evals as f64 / elapsed)
 }
 
-/// Best of `runs` measurements (wall-clock benches jitter downward
-/// only: the fastest run is the least-disturbed one).
-fn best_of<F: FnMut() -> f64>(runs: usize, mut f: F) -> f64 {
-    (0..runs).map(|_| f()).fold(f64::MIN, f64::max)
+/// Calendar/reference timing pairs per speedup (odd, so the median is
+/// one pair's ratio).
+const PAIRS: usize = 5;
+
+/// Times the calendar queue (`run(false)`) against the reference heap
+/// (`run(true)`) in [`PAIRS`] back-to-back pairs, alternating which side
+/// runs first. Returns the best calendar and best reference events/sec
+/// (wall-clock benches jitter downward only: the fastest run is the
+/// least-disturbed one) and the median per-pair calendar/reference
+/// ratio.
+fn paired_speedup(mut run: impl FnMut(bool) -> f64) -> (f64, f64, f64) {
+    let (mut best_cal, mut best_ref) = (f64::MIN, f64::MIN);
+    let mut ratios: Vec<f64> = (0..PAIRS)
+        .map(|i| {
+            let (cal, reference) = if i % 2 == 0 {
+                let cal = run(false);
+                (cal, run(true))
+            } else {
+                let reference = run(true);
+                (run(false), reference)
+            };
+            best_cal = best_cal.max(cal);
+            best_ref = best_ref.max(reference);
+            cal / reference
+        })
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    (best_cal, best_ref, ratios[PAIRS / 2])
 }
 
 fn main() -> ExitCode {
@@ -198,22 +225,19 @@ fn main() -> ExitCode {
     let min_speedup: f64 = arg_value("--min-speedup")
         .map(|v| v.parse().unwrap_or_else(|e| panic!("bad --min-speedup {v:?}: {e}")))
         .unwrap_or(0.0);
-    let (queue_events, engine_events, generations, runs) =
-        if quick { (600_000u64, 300_000u64, 2usize, 3usize) } else { (2_000_000, 1_000_000, 5, 3) };
+    let (queue_events, engine_events, generations) =
+        if quick { (600_000u64, 300_000u64, 2usize) } else { (2_000_000, 1_000_000, 5) };
 
-    let queue_cal = best_of(runs, || queue_events_per_sec(false, queue_events));
-    let queue_ref = best_of(runs, || queue_events_per_sec(true, queue_events));
-    let engine_cal = best_of(runs, || engine_events_per_sec(false, engine_events));
-    let engine_ref = best_of(runs, || engine_events_per_sec(true, engine_events));
+    let (queue_cal, queue_ref, queue_speedup) =
+        paired_speedup(|reference| queue_events_per_sec(reference, queue_events));
+    let (engine_cal, engine_ref, engine_speedup) =
+        paired_speedup(|reference| engine_events_per_sec(reference, engine_events));
     let (ga_ns, ga_evals_per_sec) = ga_generation_latency(generations);
-
-    let queue_speedup = queue_cal / queue_ref;
-    let engine_speedup = engine_cal / engine_ref;
 
     let meps = |v: f64| format!("{:.2}", v / 1e6);
     print_table(
         "Engine hot-path (events/sec in millions)",
-        &["metric", "calendar", "reference", "speedup"],
+        &["metric", "calendar (best)", "reference (best)", "median pair speedup"],
         &[
             vec![
                 "queue churn".into(),

@@ -6,18 +6,16 @@
 //! Channels are fully independent (own banks, bus, refresh), and
 //! requests route by address interleave at a configurable granularity.
 //!
-//! Two front ends share the routing policy: the batch path
-//! ([`MultiChannelDram::enqueue`] + [`MultiChannelDram::run_to_completion`])
-//! for trace replay, and the immediate path ([`MultiChannelDram::service`])
-//! used by the chip simulator's closed-loop timing mode, where each
-//! block access is served as its event arrives and the aggregated
-//! completion time feeds back into the chip's critical path.
+//! The chip simulator's closed-loop timing mode drives it through
+//! [`MultiChannelDram::service`]: each block access is served as its
+//! event arrives and the aggregated completion time feeds back into
+//! the chip's critical path.
 
 use crate::config::DramConfig;
-use crate::controller::{ChannelStats, CompletedRequest, DramSimulator};
+use crate::controller::{ChannelStats, DramSimulator};
 use crate::energy::DramEnergy;
 use crate::error::DramError;
-use crate::request::{Request, RequestId};
+use crate::request::Request;
 
 /// The closed-loop outcome of one block access: when its first stripe
 /// started service and when its last stripe's data completed, across
@@ -40,16 +38,15 @@ pub struct ChannelAccess {
 /// use pim_dram::{DramConfig, MultiChannelDram, Request, RequestKind};
 ///
 /// let mut mem = MultiChannelDram::new(DramConfig::lpddr3_1600(), 2, 4096).unwrap();
-/// mem.enqueue(Request::new(0, 0, RequestKind::Read, 64 * 1024));
-/// let done = mem.run_to_completion();
-/// assert!(!done.is_empty());
-/// // Two channels stream roughly twice as fast as one.
+/// let access = mem.service(Request::new(0, 0, RequestKind::Read, 64 * 1024));
+/// // 64 KiB over 4 KiB stripes, half on each channel.
+/// assert_eq!(access.stripes, 16);
+/// assert!(access.finish_ns > access.start_ns);
 /// ```
 #[derive(Debug, Clone)]
 pub struct MultiChannelDram {
     channels: Vec<DramSimulator>,
     interleave_bytes: usize,
-    next_id: u64,
 }
 
 impl MultiChannelDram {
@@ -71,7 +68,6 @@ impl MultiChannelDram {
         Ok(Self {
             channels: (0..channels).map(|_| DramSimulator::new(cfg.clone())).collect(),
             interleave_bytes: interleave,
-            next_id: 0,
         })
     }
 
@@ -85,18 +81,6 @@ impl MultiChannelDram {
         self.interleave_bytes
     }
 
-    /// Splits a block request across channels by interleave and
-    /// enqueues the pieces. Returns one id (of the first piece) for
-    /// bookkeeping; completions report per-piece.
-    pub fn enqueue(&mut self, request: Request) -> RequestId {
-        let first = RequestId(self.next_id);
-        for (channel, piece) in Self::stripes(self.channels.len(), self.interleave_bytes, request) {
-            self.channels[channel].enqueue(piece);
-            self.next_id += 1;
-        }
-        first
-    }
-
     /// Serves a block request immediately (closed-loop path): every
     /// stripe is serviced on its channel in call order, and the
     /// access completes when its slowest stripe's data lands. Channel
@@ -108,7 +92,6 @@ impl MultiChannelDram {
         let mut count = 0usize;
         for (channel, piece) in Self::stripes(self.channels.len(), self.interleave_bytes, request) {
             let done = self.channels[channel].service_one(piece);
-            self.next_id += 1;
             start_ns = start_ns.min(done.start_ns);
             finish_ns = finish_ns.max(done.finish_ns);
             count += 1;
@@ -119,62 +102,11 @@ impl MultiChannelDram {
         ChannelAccess { start_ns, finish_ns, stripes: count }
     }
 
-    /// Serves a batch of in-flight block requests with FR-FCFS
-    /// reordering: every stripe of every request is enqueued first,
-    /// then each channel drains its queue through the controller's
-    /// row-hit-preferring pick ([`DramSimulator::service_pending`]), so
-    /// stripes of *different* requests may overtake each other when
-    /// that keeps a row buffer open. Returns one [`ChannelAccess`] per
-    /// input request, in input order.
-    ///
-    /// With a single request this degenerates to [`Self::service`]
-    /// modulo the intra-request pick order; the chip simulator exposes
-    /// it behind an off-by-default flag because it relaxes the
-    /// arrival-order service guarantee the closed-loop mode documents.
-    pub fn service_batch(&mut self, requests: &[Request]) -> Vec<ChannelAccess> {
-        let mut owner: Vec<Vec<(RequestId, usize)>> = vec![Vec::new(); self.channels.len()];
-        for (parent, request) in requests.iter().enumerate() {
-            for (channel, piece) in
-                Self::stripes(self.channels.len(), self.interleave_bytes, *request)
-            {
-                let id = self.channels[channel].enqueue(piece);
-                owner[channel].push((id, parent));
-                self.next_id += 1;
-            }
-        }
-        let mut accesses: Vec<ChannelAccess> = requests
-            .iter()
-            .map(|r| ChannelAccess {
-                start_ns: f64::INFINITY,
-                finish_ns: r.issue_ns.max(0.0),
-                stripes: 0,
-            })
-            .collect();
-        for (channel, owners) in self.channels.iter_mut().zip(&owner) {
-            for done in channel.service_pending() {
-                let &(_, parent) = owners
-                    .iter()
-                    .find(|(id, _)| *id == done.id)
-                    .expect("every completion belongs to a batched request");
-                let acc = &mut accesses[parent];
-                acc.start_ns = acc.start_ns.min(done.start_ns);
-                acc.finish_ns = acc.finish_ns.max(done.finish_ns);
-                acc.stripes += 1;
-            }
-        }
-        for acc in &mut accesses {
-            if !acc.start_ns.is_finite() {
-                acc.start_ns = acc.finish_ns; // zero-byte access
-            }
-        }
-        accesses
-    }
-
     /// Splits a block request into per-channel stripes: for each
     /// piece, the channel index and the channel-local request. The
     /// local address folds the interleave out so each channel sees a
     /// dense address space. Takes `Copy` inputs rather than `&self` so
-    /// the routing loops can mutate `self.channels` while iterating —
+    /// [`Self::service`] can mutate `self.channels` while iterating —
     /// no per-request stripe buffer is allocated.
     fn stripes(
         channels: usize,
@@ -197,16 +129,6 @@ impl MultiChannelDram {
             remaining -= take;
             Some((channel, Request::at_ns(request.issue_ns, local, request.kind, take)))
         })
-    }
-
-    /// Drains every channel, returning all completions (channel order,
-    /// then service order).
-    pub fn run_to_completion(&mut self) -> Vec<CompletedRequest> {
-        let mut done = Vec::new();
-        for channel in &mut self.channels {
-            done.extend(channel.run_to_completion());
-        }
-        done
     }
 
     /// Latest completion time across channels.
@@ -244,8 +166,7 @@ mod tests {
 
     fn stream_time(channels: usize, bytes: usize) -> f64 {
         let mut mem = mem(channels);
-        mem.enqueue(Request::new(0, 0, RequestKind::Read, bytes));
-        mem.run_to_completion();
+        mem.service(Request::new(0, 0, RequestKind::Read, bytes));
         mem.makespan_ns()
     }
 
@@ -270,17 +191,18 @@ mod tests {
     #[test]
     fn all_bytes_accounted() {
         let mut mem = mem(2);
-        mem.enqueue(Request::new(0, 1000, RequestKind::Read, 100_000));
-        let done = mem.run_to_completion();
-        let total: usize = done.iter().map(|c| c.bytes).sum();
+        let access = mem.service(Request::new(0, 1000, RequestKind::Read, 100_000));
+        // A 3,096 B head stripe up to the 4 KiB boundary, 23 full
+        // stripes, then a 2,696 B tail.
+        assert_eq!(access.stripes, 25);
+        let total: u64 = mem.channel_stats().iter().map(ChannelStats::total_bytes).sum();
         assert_eq!(total, 100_000);
     }
 
     #[test]
     fn energy_sums_channels() {
         let mut mem = mem(2);
-        mem.enqueue(Request::new(0, 0, RequestKind::Write, 64 * 1024));
-        mem.run_to_completion();
+        mem.service(Request::new(0, 0, RequestKind::Write, 64 * 1024));
         let e = mem.energy();
         assert!(e.write_nj > 0.0);
         assert!(e.total_nj() > e.write_nj);
@@ -305,34 +227,6 @@ mod tests {
         assert_eq!(stats.len(), 2);
         let total: u64 = stats.iter().map(ChannelStats::total_bytes).sum();
         assert_eq!(total, 64 * 1024);
-    }
-
-    #[test]
-    fn service_batch_serves_every_request_exactly_once() {
-        let requests: Vec<Request> = (0..6)
-            .map(|i| Request::new(0, i as u64 * (1 << 16), RequestKind::Read, 16 * 1024))
-            .collect();
-        let mut mem = mem(2);
-        let accesses = mem.service_batch(&requests);
-        assert_eq!(accesses.len(), requests.len());
-        for acc in &accesses {
-            assert_eq!(acc.stripes, 4, "16 KiB over 4 KiB stripes");
-            assert!(acc.finish_ns > acc.start_ns);
-        }
-        let total: u64 = mem.channel_stats().iter().map(ChannelStats::total_bytes).sum();
-        assert_eq!(total, 6 * 16 * 1024, "byte conservation across the batch");
-    }
-
-    #[test]
-    fn service_batch_is_deterministic() {
-        let requests: Vec<Request> = (0..8)
-            .map(|i| Request::new(0, (i as u64 * 977) << 10, RequestKind::Read, 8 * 1024))
-            .collect();
-        let run = || {
-            let mut mem = mem(2);
-            mem.service_batch(&requests)
-        };
-        assert_eq!(run(), run(), "same batch, same windows, every run");
     }
 
     #[test]

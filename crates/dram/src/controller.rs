@@ -4,7 +4,6 @@ use crate::bank::{AccessClass, Bank};
 use crate::config::DramConfig;
 use crate::energy::DramEnergy;
 use crate::request::{Request, RequestId, RequestKind};
-use pim_engine::{Component, Engine, EngineCtx, Event, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
@@ -94,7 +93,7 @@ impl ChannelStats {
 /// let mut sim = DramSimulator::new(DramConfig::lpddr3_1600());
 /// // Stream 64 KiB of weights.
 /// sim.enqueue(Request::new(0, 0, RequestKind::Read, 64 * 1024));
-/// let done = sim.run_to_completion();
+/// let done = sim.service_pending();
 /// let seconds = done[0].finish_ns * 1e-9;
 /// let gbps = 64.0 * 1024.0 / done[0].finish_ns; // bytes per ns
 /// assert!(gbps > 4.0, "sequential stream should be near peak, got {gbps}");
@@ -155,42 +154,6 @@ impl DramSimulator {
         id
     }
 
-    /// Serves every queued request, returning completions in service
-    /// order.
-    ///
-    /// Time advances through a `pim-engine` event queue: each request
-    /// is an arrival event at its issue time, and the controller
-    /// drains everything that has arrived whenever an arrival fires —
-    /// so requests become visible to the FR-FCFS pick in issue-time
-    /// order, exactly as they would streaming out of the chip
-    /// simulator.
-    pub fn run_to_completion(&mut self) -> Vec<CompletedRequest> {
-        if self.queue.is_empty() {
-            return Vec::new();
-        }
-        let mut engine: Engine<ControllerEvent> = Engine::new(0);
-        let pending: Vec<(RequestId, Request)> = self.queue.drain(..).collect();
-        let placeholder = DramSimulator::new(self.cfg.clone());
-        let controller = ControllerComponent {
-            sim: std::mem::replace(self, placeholder),
-            done: Vec::with_capacity(pending.len()),
-            latch: DrainLatch::default(),
-        };
-        let id = engine.add_component(controller);
-        for (request_id, request) in pending {
-            engine.schedule(
-                SimTime::from_ns(request.issue_ns.max(0.0)),
-                id,
-                ControllerEvent::Arrive(request_id, request),
-            );
-        }
-        engine.run_until_idle();
-        let controller: ControllerComponent =
-            engine.extract(id).expect("controller survives the run");
-        *self = controller.sim;
-        controller.done
-    }
-
     /// Serves one request immediately, bypassing the queue and the
     /// FR-FCFS reorder window. The closed-loop front end uses this:
     /// requests arrive one engine event at a time (cores block on
@@ -204,8 +167,9 @@ impl DramSimulator {
     }
 
     /// Serves everything currently queued, FR-FCFS order, returning
-    /// the completions. Used by event-driven front ends that feed
-    /// requests in as simulation time advances.
+    /// the completions. Event-driven front ends enqueue each instant's
+    /// arrivals and then drain once, so every request issued at one
+    /// timestamp is visible to the pick before any of them is served.
     pub fn service_pending(&mut self) -> Vec<CompletedRequest> {
         let mut done = Vec::with_capacity(self.queue.len());
         while !self.queue.is_empty() {
@@ -409,68 +373,6 @@ impl DramSimulator {
     }
 }
 
-/// Coalesces same-instant arrivals into a single drain event, so
-/// every request that lands at one timestamp is visible to the
-/// FR-FCFS pick before any of them is served. Shared by the
-/// controller's own event loop and the chip simulator's in-line DRAM
-/// component — the batching granularity is defined here, once.
-#[derive(Debug, Clone, Default)]
-pub struct DrainLatch(bool);
-
-impl DrainLatch {
-    /// Marks an arrival; returns `true` when the caller must schedule
-    /// a drain at the current instant (the first arrival of a batch).
-    pub fn arm(&mut self) -> bool {
-        !std::mem::replace(&mut self.0, true)
-    }
-
-    /// Clears the latch when the drain fires.
-    pub fn release(&mut self) {
-        self.0 = false;
-    }
-}
-
-/// Events driving a [`DramSimulator`] on a `pim-engine` queue.
-#[derive(Debug, Clone)]
-enum ControllerEvent {
-    /// A request becomes eligible at its issue time.
-    Arrive(RequestId, Request),
-    /// Serve everything that has arrived (scheduled once per arrival
-    /// timestamp so same-time requests batch before the FR-FCFS pick).
-    Drain,
-}
-
-struct ControllerComponent {
-    sim: DramSimulator,
-    done: Vec<CompletedRequest>,
-    latch: DrainLatch,
-}
-
-impl Component<ControllerEvent> for ControllerComponent {
-    fn on_event(
-        &mut self,
-        event: Event<ControllerEvent>,
-        ctx: &mut EngineCtx<'_, ControllerEvent>,
-    ) {
-        match event.payload {
-            ControllerEvent::Arrive(id, request) => {
-                self.sim.queue.push_back((id, request));
-                if self.latch.arm() {
-                    ctx.schedule(ctx.now(), event.target, ControllerEvent::Drain);
-                }
-            }
-            ControllerEvent::Drain => {
-                self.latch.release();
-                self.done.extend(self.sim.service_pending());
-            }
-        }
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
-        self
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -479,11 +381,29 @@ mod tests {
         DramSimulator::new(DramConfig::lpddr3_1600())
     }
 
+    /// Serves `requests` the way an event-driven front end feeds them:
+    /// in issue-time order, one `service_pending` drain per distinct
+    /// issue instant. Returns the completions in service order.
+    fn drain(s: &mut DramSimulator, requests: &[Request]) -> Vec<CompletedRequest> {
+        let mut requests = requests.to_vec();
+        requests.sort_by(|a, b| a.issue_ns.total_cmp(&b.issue_ns));
+        let mut done = Vec::with_capacity(requests.len());
+        for instant in requests.chunk_by(|a, b| a.issue_ns == b.issue_ns) {
+            for &request in instant {
+                s.enqueue(request);
+            }
+            done.extend(s.service_pending());
+        }
+        done
+    }
+
+    fn read(addr: u64, bytes: usize) -> Request {
+        Request::new(0, addr, RequestKind::Read, bytes)
+    }
+
     #[test]
     fn single_read_latency_is_reasonable() {
-        let mut s = sim();
-        s.enqueue(Request::new(0, 0, RequestKind::Read, 32));
-        let done = s.run_to_completion();
+        let done = drain(&mut sim(), &[read(0, 32)]);
         let lat = done[0].latency_ns();
         // tRCD + tCL + burst = (15 + 12 + 4) * 1.25 = 38.75 ns.
         assert!((lat - 38.75).abs() < 1e-6, "latency {lat}");
@@ -491,23 +411,20 @@ mod tests {
 
     #[test]
     fn sequential_stream_beats_random() {
-        let mut seq = sim();
-        for i in 0..256u64 {
-            seq.enqueue(Request::new(0, i * 32, RequestKind::Read, 32));
-        }
-        let seq_end = seq.run_to_completion().last().unwrap().finish_ns;
+        let sequential: Vec<_> = (0..256u64).map(|i| read(i * 32, 32)).collect();
+        let seq_end = drain(&mut sim(), &sequential).last().unwrap().finish_ns;
 
         let mut rng_state = 12345u64;
-        let mut random = sim();
-        for _ in 0..256 {
-            // xorshift addresses scattered over 64 MiB.
-            rng_state ^= rng_state << 13;
-            rng_state ^= rng_state >> 7;
-            rng_state ^= rng_state << 17;
-            let addr = (rng_state % (64 * 1024 * 1024)) & !31;
-            random.enqueue(Request::new(0, addr, RequestKind::Read, 32));
-        }
-        let rnd_end = random.run_to_completion().last().unwrap().finish_ns;
+        let random: Vec<_> = (0..256)
+            .map(|_| {
+                // xorshift addresses scattered over 64 MiB.
+                rng_state ^= rng_state << 13;
+                rng_state ^= rng_state >> 7;
+                rng_state ^= rng_state << 17;
+                read((rng_state % (64 * 1024 * 1024)) & !31, 32)
+            })
+            .collect();
+        let rnd_end = drain(&mut sim(), &random).last().unwrap().finish_ns;
         assert!(
             rnd_end > 1.5 * seq_end,
             "random ({rnd_end}) should be much slower than sequential ({seq_end})"
@@ -518,8 +435,7 @@ mod tests {
     fn bulk_read_approaches_peak_bandwidth() {
         let mut s = sim();
         let bytes = 1 << 20; // 1 MiB
-        s.enqueue(Request::new(0, 0, RequestKind::Read, bytes));
-        let done = s.run_to_completion();
+        let done = drain(&mut s, &[read(0, bytes)]);
         let gbps = bytes as f64 / done[0].finish_ns;
         let peak = s.config().peak_bandwidth_gbps();
         assert!(gbps > 0.8 * peak, "bulk stream {gbps} GB/s vs peak {peak}");
@@ -530,19 +446,17 @@ mod tests {
         let mut s = sim();
         // Spread requests over > tREFI.
         let refi_ns = s.config().t_refi as f64 * s.config().cycle_ns();
-        for i in 0..10u64 {
-            s.enqueue(Request::at_ns(i as f64 * refi_ns, i * 32, RequestKind::Read, 32));
-        }
-        s.run_to_completion();
+        let spread: Vec<_> = (0..10u64)
+            .map(|i| Request::at_ns(i as f64 * refi_ns, i * 32, RequestKind::Read, 32))
+            .collect();
+        drain(&mut s, &spread);
         assert!(s.refreshes >= 9, "refreshes {}", s.refreshes);
     }
 
     #[test]
     fn writes_are_tracked_separately() {
         let mut s = sim();
-        s.enqueue(Request::new(0, 0, RequestKind::Write, 64));
-        s.enqueue(Request::new(0, 4096, RequestKind::Read, 64));
-        s.run_to_completion();
+        drain(&mut s, &[Request::new(0, 0, RequestKind::Write, 64), read(4096, 64)]);
         assert_eq!(s.write_bits, 64 * 8);
         assert_eq!(s.read_bits, 64 * 8);
     }
@@ -550,27 +464,50 @@ mod tests {
     #[test]
     fn energy_grows_with_traffic() {
         let mut small = sim();
-        small.enqueue(Request::new(0, 0, RequestKind::Read, 1024));
-        small.run_to_completion();
+        drain(&mut small, &[read(0, 1024)]);
         let mut big = sim();
-        big.enqueue(Request::new(0, 0, RequestKind::Read, 1024 * 1024));
-        big.run_to_completion();
+        drain(&mut big, &[read(0, 1024 * 1024)]);
         assert!(big.energy().total_nj() > 10.0 * small.energy().total_nj());
     }
 
     #[test]
     fn completions_cover_all_requests() {
-        let mut s = sim();
-        let ids: Vec<_> =
-            (0..50u64).map(|i| s.enqueue(Request::new(i, i * 64, RequestKind::Read, 64))).collect();
-        let done = s.run_to_completion();
+        let requests: Vec<_> =
+            (0..50u64).map(|i| Request::new(i, i * 64, RequestKind::Read, 64)).collect();
+        let done = drain(&mut sim(), &requests);
         assert_eq!(done.len(), 50);
         let mut seen: Vec<_> = done.iter().map(|c| c.id).collect();
         seen.sort();
-        assert_eq!(seen, ids);
+        assert_eq!(seen, (0..50).map(RequestId).collect::<Vec<_>>());
         for c in &done {
             assert!(c.finish_ns >= c.start_ns);
             assert!(c.start_ns >= c.issue_ns);
         }
+    }
+
+    /// The FR-FCFS-lite pick the in-line front end relies on: a
+    /// row-buffer hit among the oldest eight queued requests overtakes
+    /// older misses; one queued behind eight misses waits its turn.
+    #[test]
+    fn row_hit_overtakes_misses_only_within_the_reorder_window() {
+        let cfg = DramConfig::lpddr3_1600();
+        // Bank 0, row `k`: every `k > 0` conflicts with open row 0.
+        let bank0_row = |k: u64| k * (cfg.row_bytes * cfg.banks) as u64;
+        let served_order = |misses: u64| {
+            let mut s = sim();
+            drain(&mut s, &[read(bank0_row(0), 32)]); // opens bank 0, row 0
+            let ids: Vec<_> = (1..=misses).map(|k| s.enqueue(read(bank0_row(k), 32))).collect();
+            let hit = s.enqueue(read(bank0_row(0) + 32, 32));
+            let order: Vec<_> = s.service_pending().iter().map(|c| c.id).collect();
+            (ids, hit, order)
+        };
+
+        let (ids, hit, order) = served_order(7);
+        assert_eq!(order[0], hit, "a hit eighth in line is served first");
+        assert_eq!(order[1..], ids[..]);
+
+        let (ids, hit, order) = served_order(8);
+        assert_eq!(order[..8], ids[..], "a hit ninth in line does not overtake");
+        assert_eq!(order[8], hit);
     }
 }

@@ -15,9 +15,18 @@
 //! * a FR-FCFS-lite controller queue with bank-level parallelism,
 //! * energy accounting (activate, read, write, IO, background).
 //!
-//! It consumes the same kind of trace DRAMsim3 does: a sequence of
-//! `(issue cycle, address, read/write, burst bytes)` requests, and
-//! reports per-request completion plus aggregate bandwidth/energy.
+//! The model is a plain state machine with no clock of its own: a
+//! caller feeds it `(issue time, address, read/write, bytes)` requests
+//! as its simulation reaches them and gets per-request completions plus
+//! aggregate bandwidth/energy back. The chip simulator has two such
+//! callers, one per timing mode:
+//!
+//! * analytic mode enqueues each instant's requests and drains them
+//!   with [`DramSimulator::service_pending`] (the FR-FCFS-lite pick),
+//!   refining energy only;
+//! * closed-loop mode serves each blocking access on arrival through
+//!   [`MultiChannelDram::service`], and the completion time feeds back
+//!   into the chip's critical path.
 //!
 //! # Example
 //!
@@ -26,7 +35,7 @@
 //!
 //! let mut sim = DramSimulator::new(DramConfig::lpddr3_1600());
 //! let id = sim.enqueue(Request::new(0, 0x1000, RequestKind::Read, 64));
-//! let results = sim.run_to_completion();
+//! let results = sim.service_pending();
 //! assert_eq!(results.len(), 1);
 //! assert_eq!(results[0].id, id);
 //! assert!(results[0].finish_ns > 0.0);
@@ -47,8 +56,8 @@ mod error;
 
 pub use channel::{ChannelAccess, MultiChannelDram};
 pub use config::DramConfig;
-pub use controller::{ChannelStats, CompletedRequest, DrainLatch, DramSimulator};
+pub use controller::{ChannelStats, CompletedRequest, DramSimulator};
 pub use energy::DramEnergy;
 pub use error::DramError;
 pub use request::{Request, RequestId, RequestKind};
-pub use trace::{ParseTraceError, Trace, TraceStats};
+pub use trace::TraceStats;

@@ -1,180 +1,10 @@
-//! Memory trace containers and aggregate statistics.
-//!
-//! Mirrors the DRAMsim3 workflow the paper uses: the scheduler emits a
-//! trace of DRAM transactions, the trace is replayed through the
-//! simulator, and latency/energy come back out.
+//! Aggregate statistics of a memory request stream: the request and
+//! byte totals a chip's memory channel sent to DRAM.
 
-use crate::controller::{CompletedRequest, DramSimulator};
-use crate::request::{Request, RequestKind};
 use serde::{Deserialize, Serialize};
-use std::error::Error;
 use std::fmt;
-use std::str::FromStr;
 
-/// An ordered list of memory requests.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
-pub struct Trace {
-    requests: Vec<Request>,
-}
-
-impl Trace {
-    /// Creates an empty trace.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of requests.
-    pub fn len(&self) -> usize {
-        self.requests.len()
-    }
-
-    /// `true` if the trace holds no requests.
-    pub fn is_empty(&self) -> bool {
-        self.requests.is_empty()
-    }
-
-    /// Appends a request.
-    pub fn push(&mut self, request: Request) {
-        self.requests.push(request);
-    }
-
-    /// The requests in order.
-    pub fn requests(&self) -> &[Request] {
-        &self.requests
-    }
-
-    /// Appends a bulk sequential transfer starting at `addr`,
-    /// split into `chunk` byte requests issued back-to-back at
-    /// `issue_ns`. Returns the address one past the end (useful for
-    /// laying out consecutive tensors).
-    pub fn push_stream(
-        &mut self,
-        issue_ns: f64,
-        addr: u64,
-        kind: RequestKind,
-        bytes: usize,
-        chunk: usize,
-    ) -> u64 {
-        let chunk = chunk.max(1);
-        let mut offset = 0usize;
-        while offset < bytes {
-            let size = chunk.min(bytes - offset);
-            self.push(Request::at_ns(issue_ns, addr + offset as u64, kind, size));
-            offset += size;
-        }
-        addr + bytes as u64
-    }
-
-    /// Replays the trace through a simulator, returning completions.
-    pub fn replay(&self, sim: &mut DramSimulator) -> Vec<CompletedRequest> {
-        for req in &self.requests {
-            sim.enqueue(*req);
-        }
-        sim.run_to_completion()
-    }
-
-    /// Aggregate statistics (byte totals; timing requires replay).
-    pub fn stats(&self) -> TraceStats {
-        let mut s = TraceStats::default();
-        for r in &self.requests {
-            match r.kind {
-                RequestKind::Read => s.read_bytes += r.bytes,
-                RequestKind::Write => s.write_bytes += r.bytes,
-            }
-            s.requests += 1;
-        }
-        s
-    }
-}
-
-impl Extend<Request> for Trace {
-    fn extend<T: IntoIterator<Item = Request>>(&mut self, iter: T) {
-        self.requests.extend(iter);
-    }
-}
-
-impl FromIterator<Request> for Trace {
-    fn from_iter<T: IntoIterator<Item = Request>>(iter: T) -> Self {
-        Self { requests: iter.into_iter().collect() }
-    }
-}
-
-impl Trace {
-    /// Renders the trace in DRAMsim3-style text: one request per line,
-    /// `0xADDR READ|WRITE cycle_ns [bytes]`.
-    pub fn to_text(&self) -> String {
-        let mut out = String::new();
-        for r in &self.requests {
-            let kind = match r.kind {
-                RequestKind::Read => "READ",
-                RequestKind::Write => "WRITE",
-            };
-            out.push_str(&format!("0x{:x} {} {} {}\n", r.addr, kind, r.issue_ns, r.bytes));
-        }
-        out
-    }
-}
-
-/// Failure parsing a textual trace.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseTraceError {
-    /// 1-based line number.
-    pub line: usize,
-    /// Description of the problem.
-    pub detail: String,
-}
-
-impl fmt::Display for ParseTraceError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "trace line {}: {}", self.line, self.detail)
-    }
-}
-
-impl Error for ParseTraceError {}
-
-impl FromStr for Trace {
-    type Err = ParseTraceError;
-
-    /// Parses DRAMsim3-style text: `0xADDR READ|WRITE cycle [bytes]`
-    /// per line; `bytes` defaults to one burst (32). Blank lines and
-    /// `#` comments are skipped.
-    fn from_str(text: &str) -> Result<Self, Self::Err> {
-        let mut trace = Trace::new();
-        for (idx, raw) in text.lines().enumerate() {
-            let line_no = idx + 1;
-            let line = raw.split('#').next().unwrap_or("").trim();
-            if line.is_empty() {
-                continue;
-            }
-            let err = |detail: String| ParseTraceError { line: line_no, detail };
-            let mut parts = line.split_whitespace();
-            let addr_tok = parts.next().ok_or_else(|| err("missing address".into()))?;
-            let addr = addr_tok
-                .strip_prefix("0x")
-                .or_else(|| addr_tok.strip_prefix("0X"))
-                .and_then(|h| u64::from_str_radix(h, 16).ok())
-                .ok_or_else(|| err(format!("bad address {addr_tok:?}")))?;
-            let kind = match parts.next() {
-                Some("READ") | Some("read") => RequestKind::Read,
-                Some("WRITE") | Some("write") => RequestKind::Write,
-                other => return Err(err(format!("bad kind {other:?}"))),
-            };
-            let issue: f64 = parts
-                .next()
-                .ok_or_else(|| err("missing issue time".into()))?
-                .parse()
-                .map_err(|_| err("bad issue time".into()))?;
-            let bytes: usize = match parts.next() {
-                Some(tok) => tok.parse().map_err(|_| err(format!("bad size {tok:?}")))?,
-                None => 32,
-            };
-            trace.push(Request::at_ns(issue, addr, kind, bytes));
-        }
-        Ok(trace)
-    }
-}
-
-/// Byte totals over a trace.
+/// Request and byte totals over a memory request stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub struct TraceStats {
     /// Number of requests.
@@ -199,65 +29,5 @@ impl fmt::Display for TraceStats {
             "{} requests, {} B read, {} B written",
             self.requests, self.read_bytes, self.write_bytes
         )
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::config::DramConfig;
-
-    #[test]
-    fn stream_splits_into_chunks() {
-        let mut t = Trace::new();
-        let end = t.push_stream(0.0, 0x100, RequestKind::Read, 100, 32);
-        assert_eq!(end, 0x100 + 100);
-        assert_eq!(t.len(), 4); // 32+32+32+4
-        assert_eq!(t.requests()[3].bytes, 4);
-        assert_eq!(t.stats().read_bytes, 100);
-    }
-
-    #[test]
-    fn replay_completes_everything() {
-        let mut t = Trace::new();
-        t.push_stream(0.0, 0, RequestKind::Read, 4096, 256);
-        t.push_stream(100.0, 1 << 20, RequestKind::Write, 2048, 256);
-        let mut sim = DramSimulator::new(DramConfig::lpddr3_1600());
-        let done = t.replay(&mut sim);
-        assert_eq!(done.len(), t.len());
-        assert_eq!(t.stats().total_bytes(), 6144);
-    }
-
-    #[test]
-    fn text_round_trip() {
-        let mut t = Trace::new();
-        t.push(Request::at_ns(0.0, 0x1000, RequestKind::Read, 64));
-        t.push(Request::at_ns(12.5, 0x2000, RequestKind::Write, 128));
-        let text = t.to_text();
-        let back: Trace = text.parse().expect("parses");
-        assert_eq!(back, t);
-    }
-
-    #[test]
-    fn parse_defaults_and_comments() {
-        let text = "# DRAMsim3-style trace\n0x40 READ 0\n\n0x80 WRITE 100 256\n";
-        let t: Trace = text.parse().expect("parses");
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.requests()[0].bytes, 32); // default burst
-        assert_eq!(t.requests()[1].bytes, 256);
-    }
-
-    #[test]
-    fn parse_errors_carry_line_numbers() {
-        let err = "0x40 READ 0\nBADLINE".parse::<Trace>().unwrap_err();
-        assert_eq!(err.line, 2);
-        let err = "0x40 FROB 0".parse::<Trace>().unwrap_err();
-        assert!(err.detail.contains("kind"));
-    }
-
-    #[test]
-    fn collect_from_iterator() {
-        let t: Trace = (0..4).map(|i| Request::new(i, i * 64, RequestKind::Read, 64)).collect();
-        assert_eq!(t.len(), 4);
     }
 }

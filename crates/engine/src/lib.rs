@@ -1,13 +1,13 @@
 //! # pim-engine — deterministic discrete-event simulation core
 //!
-//! The shared substrate under `pim-sim` (the chip simulator) and
-//! `pim-dram` (the LPDDR3 timing model). Both used to advance time
-//! with hand-rolled loops and raw `f64` bookkeeping; this crate
-//! factors the common machinery into one place:
+//! The substrate under `pim-sim` (the chip and system simulators,
+//! including the in-line DRAM components that drive the `pim-dram`
+//! state machines). It replaces hand-rolled loops and raw `f64` time
+//! bookkeeping with one piece of machinery:
 //!
 //! * [`SimTime`] — a finite, non-negative, totally ordered timestamp
 //!   newtype (no NaN can enter the event queue),
-//! * [`EventQueue`] — a binary heap ordered by `(time, sequence id)`,
+//! * [`EventQueue`] — a calendar queue ordered by `(time, sequence id)`,
 //!   so same-time events process in schedule order and every run is
 //!   bit-reproducible,
 //! * [`Engine`] — the clock + queue + a registry of [`Component`]s

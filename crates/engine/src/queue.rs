@@ -30,9 +30,7 @@
 //! *descending* so the earliest event pops off the back in O(1), and
 //! [`EventQueue::pop_at`] hands the engine the rest of a same-instant
 //! burst — barrier resets, same-cycle wakeups — one O(1) pop at a
-//! time with no intermediate buffer ([`EventQueue::pop_batch`] is the
-//! buffered equivalent for callers that want the whole burst at
-//! once).
+//! time with no intermediate buffer.
 
 use crate::time::SimTime;
 use crate::ComponentId;
@@ -419,57 +417,6 @@ impl<E> CalendarQueue<E> {
             _ => None,
         }
     }
-
-    /// Drains every event at the earliest pending instant into `out`
-    /// (appended in `(time, seq)` order), returning how many.
-    fn pop_batch(&mut self, out: &mut Vec<Event<E>>) -> usize {
-        let first = match self.pop() {
-            Some(e) => e,
-            None => return 0,
-        };
-        let time = first.time;
-        out.push(first);
-        let mut n = 1;
-        // All remaining events at exactly `time` share its bucket and
-        // are therefore already sorted at the pop end of `cur`.
-        while self.cur.last().map(|e| e.time == time).unwrap_or(false) {
-            out.push(self.cur.pop().expect("peeked"));
-            self.len -= 1;
-            n += 1;
-        }
-        n
-    }
-
-    fn peek_time(&self) -> Option<SimTime> {
-        if let Some(e) = self.cur.last() {
-            return Some(e.time);
-        }
-        // Tiers are strictly ordered (everything in a farther tier
-        // lives in a later bucket), so the first non-empty tier
-        // answers — except that the far heap's head may share a coarse
-        // bucket with the rung's next slot, where the plain minimum
-        // decides.
-        if self.near_len > 0 {
-            let bucket = next_occupied::<BUCKETS>(&self.occupied, self.cur_bucket)?;
-            let s = (bucket & MASK) as usize;
-            return self.slots[s].iter().map(|e| e.time).min();
-        }
-        let far = self.far.peek().map(|Reverse(Entry(e))| e.time);
-        if self.coarse_len > 0 {
-            let coarse =
-                next_occupied::<COARSE>(&self.coarse_occupied, self.base_bucket >> LOG2_BUCKETS)?;
-            let c = (coarse & CMASK) as usize;
-            let rung_min = self.coarse[c].iter().map(|e| e.time).min();
-            return match (rung_min, far) {
-                (Some(a), Some(b)) if Self::bucket_of(b) >> LOG2_BUCKETS <= coarse => {
-                    Some(a.min(b))
-                }
-                (Some(a), _) => Some(a),
-                (None, b) => b,
-            };
-        }
-        far
-    }
 }
 
 /// A time-ordered event queue with FIFO tie-breaking.
@@ -564,27 +511,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Drains every event sharing the earliest pending timestamp into
-    /// `out` (appended in `(time, seq)` order), returning how many
-    /// were moved — the buffered counterpart of [`Self::pop_at`] for
-    /// callers that want the whole burst at once.
-    pub fn pop_batch(&mut self, out: &mut Vec<Event<E>>) -> usize {
-        match &mut self.imp {
-            QueueImpl::Calendar(q) => q.pop_batch(out),
-            #[cfg(any(test, feature = "reference-queue"))]
-            QueueImpl::Reference(q) => q.pop_batch(out),
-        }
-    }
-
-    /// The time of the earliest pending event.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        match &self.imp {
-            QueueImpl::Calendar(q) => q.peek_time(),
-            #[cfg(any(test, feature = "reference-queue"))]
-            QueueImpl::Reference(q) => q.peek_time(),
-        }
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         match &self.imp {
@@ -640,29 +566,10 @@ pub(crate) mod reference {
         }
 
         pub(crate) fn pop_at(&mut self, time: SimTime) -> Option<Event<E>> {
-            if self.peek_time() == Some(time) {
+            if self.heap.peek().is_some_and(|Reverse(Entry(ev))| ev.time == time) {
                 return self.pop();
             }
             None
-        }
-
-        pub(crate) fn pop_batch(&mut self, out: &mut Vec<Event<E>>) -> usize {
-            let first = match self.pop() {
-                Some(e) => e,
-                None => return 0,
-            };
-            let time = first.time;
-            out.push(first);
-            let mut n = 1;
-            while self.peek_time() == Some(time) {
-                out.push(self.pop().expect("peeked"));
-                n += 1;
-            }
-            n
-        }
-
-        pub(crate) fn peek_time(&self) -> Option<SimTime> {
-            self.heap.peek().map(|Reverse(Entry(ev))| ev.time)
         }
 
         pub(crate) fn len(&self) -> usize {
@@ -811,35 +718,6 @@ mod tests {
     }
 
     #[test]
-    fn pop_batch_drains_one_instant() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::from_ns(3.0), T, 10);
-        q.push(SimTime::from_ns(1.0), T, 0);
-        q.push(SimTime::from_ns(1.0), T, 1);
-        q.push(SimTime::from_ns(1.0), T, 2);
-        let mut out = Vec::new();
-        assert_eq!(q.pop_batch(&mut out), 3);
-        assert_eq!(out.iter().map(|e| e.payload).collect::<Vec<_>>(), [0, 1, 2]);
-        out.clear();
-        assert_eq!(q.pop_batch(&mut out), 1);
-        assert_eq!(out[0].payload, 10);
-        out.clear();
-        assert_eq!(q.pop_batch(&mut out), 0);
-    }
-
-    #[test]
-    fn peek_time_sees_all_tiers() {
-        let mut q = EventQueue::new();
-        assert_eq!(q.peek_time(), None);
-        q.push(SimTime::from_ns(1e7), T, 0);
-        assert_eq!(q.peek_time(), Some(SimTime::from_ns(1e7)));
-        q.push(SimTime::from_ns(42.0), T, 1);
-        assert_eq!(q.peek_time(), Some(SimTime::from_ns(42.0)));
-        q.pop();
-        assert_eq!(q.peek_time(), Some(SimTime::from_ns(1e7)));
-    }
-
-    #[test]
     fn with_capacity_behaves_identically() {
         let mut q = EventQueue::with_capacity(10_000);
         for i in 0..100 {
@@ -858,8 +736,9 @@ mod tests {
 
     /// Exhaustive cross-check against the retired heap: a seeded
     /// pseudo-random schedule of pushes (near, far, same-instant
-    /// bursts, sub-ns spacings) interleaved with pops and batch pops
-    /// must produce the identical `(time, seq, payload)` stream.
+    /// bursts, sub-ns spacings) interleaved with pops and same-instant
+    /// `pop_at` drains must produce the identical `(time, seq,
+    /// payload)` stream.
     #[test]
     fn matches_reference_queue_on_random_schedules() {
         for seed in 0..8u64 {
@@ -868,7 +747,6 @@ mod tests {
             let mut reference = EventQueue::reference();
             let mut now = 0.0f64;
             let mut popped = Vec::new();
-            let mut popped_ref = Vec::new();
             for step in 0..5_000u32 {
                 let roll = rng.next_u64() % 100;
                 if roll < 60 {
@@ -903,21 +781,22 @@ mod tests {
                     }
                     if let Some(e) = a {
                         popped.push((e.time, e.seq));
-                        popped_ref.push((e.time, e.seq));
                     }
                 } else {
-                    let mut a = Vec::new();
-                    let mut b = Vec::new();
-                    assert_eq!(calendar.pop_batch(&mut a), reference.pop_batch(&mut b));
-                    for (x, y) in a.iter().zip(&b) {
-                        assert_eq!((x.time, x.seq, x.payload), (y.time, y.seq, y.payload));
+                    // The engine's same-instant drain: `pop_at(now)`
+                    // until the instant is exhausted.
+                    let at = SimTime::from_ns(now);
+                    loop {
+                        match (calendar.pop_at(at), reference.pop_at(at)) {
+                            (Some(x), Some(y)) => {
+                                assert_eq!((x.time, x.seq, x.payload), (y.time, y.seq, y.payload));
+                                assert_eq!(x.time, at, "pop_at stays on its instant");
+                                popped.push((x.time, x.seq));
+                            }
+                            (None, None) => break,
+                            _ => panic!("queues disagree on the instant's remainder"),
+                        }
                     }
-                    if let Some(last) = a.last() {
-                        assert!(a.iter().all(|e| e.time == last.time), "one instant per batch");
-                        now = last.time.as_ns();
-                    }
-                    popped.extend(a.iter().map(|e| (e.time, e.seq)));
-                    popped_ref.extend(b.iter().map(|e| (e.time, e.seq)));
                 }
                 assert_eq!(calendar.len(), reference.len());
             }

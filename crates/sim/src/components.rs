@@ -9,9 +9,7 @@
 
 use crate::report::CoreActivity;
 use pim_arch::{ChipSpec, InterconnectSpec, TimingMode};
-use pim_dram::{
-    DrainLatch, DramConfig, DramSimulator, MultiChannelDram, Request, RequestKind, TraceStats,
-};
+use pim_dram::{DramConfig, DramSimulator, MultiChannelDram, Request, RequestKind, TraceStats};
 use pim_engine::{Component, ComponentId, EngineCtx, Event, SimTime};
 use pim_isa::{Instruction, Tag};
 use std::any::Any;
@@ -125,15 +123,9 @@ pub(crate) enum ChipEvent {
         /// The stage's tag-space bucket (its graph node id).
         stage: u64,
     },
-    /// A chunk of DRAM traffic reaches the in-line controller.
-    DramRequest {
-        /// Byte address (from the channel's bump allocators).
-        addr: u64,
-        /// Read or write.
-        kind: RequestKind,
-        /// Chunk size.
-        bytes: usize,
-    },
+    /// A chunk of DRAM traffic reaches the in-line controller; its
+    /// issue time is the event time.
+    DramRequest(Request),
     /// The in-line controller services everything that has arrived.
     DramDrain,
     /// Closed-loop timing: one blocking block access reaches the
@@ -402,6 +394,21 @@ impl Component<ChipEvent> for CoreComponent {
 const WEIGHT_CHUNK: usize = 1 << 20;
 const ACTIVATION_CHUNK: usize = 64 << 10;
 
+/// Splits a `bytes`-long block at `addr` into the row-friendly
+/// `chunk`-sized requests both timing modes send to DRAM, all issued
+/// at `issue_ns` — so the two modes see an identical request stream.
+fn chunks(
+    issue_ns: f64,
+    addr: u64,
+    kind: RequestKind,
+    bytes: usize,
+    chunk: usize,
+) -> impl Iterator<Item = Request> {
+    (0..bytes).step_by(chunk).map(move |offset| {
+        Request::at_ns(issue_ns, addr + offset as u64, kind, chunk.min(bytes - offset))
+    })
+}
+
 /// The single global-memory channel port. In `Analytic` timing mode it
 /// serializes block transfers itself (bandwidth + first-access latency)
 /// and forwards the request stream to the in-line DRAM model for energy
@@ -478,23 +485,14 @@ impl Component<ChipEvent> for MemChannel {
                 self.free_ns = start + stream_ns;
 
                 // Forward the transfer to the in-line DRAM model in
-                // row-friendly chunks, all issued at the grant time —
-                // the same request stream the trace replay used to
-                // rebuild after the fact.
+                // row-friendly chunks, all issued at the grant time.
                 if let Some(dram) = self.dram {
-                    let mut offset = 0usize;
-                    while offset < bytes {
-                        let take = chunk.min(bytes - offset);
+                    for request in chunks(start, base, kind, bytes, chunk) {
                         ctx.schedule(
                             SimTime::from_ns(start),
                             dram,
-                            ChipEvent::DramRequest {
-                                addr: base + offset as u64,
-                                kind,
-                                bytes: take,
-                            },
+                            ChipEvent::DramRequest(request),
                         );
-                        offset += take;
                     }
                 }
 
@@ -626,14 +624,17 @@ impl Component<ChipEvent> for Rendezvous {
 }
 
 /// The in-line LPDDR3 model: consumes the channel's request stream as
-/// it is generated (replacing the old post-hoc trace replay) and
-/// accumulates refined DRAM energy. Chip timing is not affected — the
-/// analytic channel model owns the critical path, the controller
-/// refines energy, exactly as the trace replay did.
+/// it is generated and accumulates refined DRAM energy. Chip timing is
+/// not affected — the analytic channel model owns the critical path,
+/// the controller refines energy.
 pub(crate) struct InlineDram {
     pub(crate) sim: DramSimulator,
     pub(crate) requests: usize,
-    latch: DrainLatch,
+    /// A `DramDrain` is pending at the current instant: same-instant
+    /// arrivals coalesce into one drain, so every request that lands
+    /// at one timestamp is visible to the FR-FCFS pick before any of
+    /// them is served.
+    drain_scheduled: bool,
 }
 
 impl InlineDram {
@@ -641,7 +642,7 @@ impl InlineDram {
         Self {
             sim: DramSimulator::new(DramConfig::lpddr3_1600()),
             requests: 0,
-            latch: DrainLatch::default(),
+            drain_scheduled: false,
         }
     }
 }
@@ -649,15 +650,15 @@ impl InlineDram {
 impl Component<ChipEvent> for InlineDram {
     fn on_event(&mut self, event: Event<ChipEvent>, ctx: &mut EngineCtx<'_, ChipEvent>) {
         match event.payload {
-            ChipEvent::DramRequest { addr, kind, bytes } => {
-                self.sim.enqueue(Request::at_ns(event.time.as_ns(), addr, kind, bytes));
+            ChipEvent::DramRequest(request) => {
+                self.sim.enqueue(request);
                 self.requests += 1;
-                if self.latch.arm() {
+                if !std::mem::replace(&mut self.drain_scheduled, true) {
                     ctx.schedule(event.time, event.target, ChipEvent::DramDrain);
                 }
             }
             ChipEvent::DramDrain => {
-                self.latch.release();
+                self.drain_scheduled = false;
                 // Completions are absorbed into the controller's
                 // energy/bandwidth counters.
                 let _ = self.sim.service_pending();
@@ -678,70 +679,16 @@ impl Component<ChipEvent> for InlineDram {
 /// `MemDone` fires at the slowest stripe's completion. Bank conflicts,
 /// row hits/misses, refresh, and channel interleaving therefore shape
 /// the chip's critical path directly.
-///
-/// With `fr_fcfs` enabled, same-instant accesses from independent
-/// cores are latched and drained together, and their chunks are served
-/// through the controllers' row-hit-preferring FR-FCFS pick
-/// ([`MultiChannelDram::service_batch`]) instead of strictly at
-/// arrival order. Off by default: arrival-order service is the
-/// documented (and golden-pinned) closed-loop behaviour.
 pub(crate) struct ClosedLoopDram {
     pub(crate) mem: MultiChannelDram,
     pub(crate) requests: usize,
-    fr_fcfs: bool,
-    pending: Vec<PendingAccess>,
-    latch: DrainLatch,
-}
-
-/// One latched closed-loop access awaiting the FR-FCFS drain.
-struct PendingAccess {
-    core: ComponentId,
-    addr: u64,
-    kind: RequestKind,
-    bytes: usize,
-    chunk: usize,
 }
 
 impl ClosedLoopDram {
-    pub(crate) fn new(channels: usize, interleave_bytes: usize, fr_fcfs: bool) -> Self {
+    pub(crate) fn new(channels: usize, interleave_bytes: usize) -> Self {
         let mem = MultiChannelDram::new(DramConfig::lpddr3_1600(), channels, interleave_bytes)
             .expect("simulator builder guarantees at least one channel");
-        Self { mem, requests: 0, fr_fcfs, pending: Vec::new(), latch: DrainLatch::default() }
-    }
-
-    /// Chunks a block access at the row-friendly granularity both
-    /// timing modes share.
-    fn chunks(now: f64, access: &PendingAccess) -> impl Iterator<Item = Request> + '_ {
-        let mut offset = 0usize;
-        std::iter::from_fn(move || {
-            if offset >= access.bytes {
-                return None;
-            }
-            let take = access.chunk.min(access.bytes - offset);
-            let request = Request::at_ns(now, access.addr + offset as u64, access.kind, take);
-            offset += take;
-            Some(request)
-        })
-    }
-
-    /// Completes one access: schedules the requesting core's `MemDone`
-    /// at the slowest chunk's completion.
-    fn complete(
-        core: ComponentId,
-        now: f64,
-        start_ns: f64,
-        finish_ns: f64,
-        ctx: &mut EngineCtx<'_, ChipEvent>,
-    ) {
-        let start_ns = if start_ns.is_finite() { start_ns } else { now };
-        ctx.schedule(
-            SimTime::from_ns(finish_ns),
-            core,
-            ChipEvent::MemDone {
-                wait_ns: (start_ns - now).max(0.0),
-                busy_ns: finish_ns - start_ns.max(now),
-            },
-        );
+        Self { mem, requests: 0 }
     }
 }
 
@@ -749,54 +696,26 @@ impl Component<ChipEvent> for ClosedLoopDram {
     fn on_event(&mut self, event: Event<ChipEvent>, ctx: &mut EngineCtx<'_, ChipEvent>) {
         match event.payload {
             ChipEvent::DramAccess { core, addr, kind, bytes, chunk } => {
-                let access = PendingAccess { core, addr, kind, bytes, chunk };
-                if self.fr_fcfs {
-                    // Batch same-instant arrivals behind the latch so
-                    // independent cores' chunks reach the FR-FCFS pick
-                    // together.
-                    self.pending.push(access);
-                    if self.latch.arm() {
-                        ctx.schedule(event.time, event.target, ChipEvent::DramDrain);
-                    }
-                    return;
-                }
                 let now = event.time.as_ns();
-                // Serve the block in the same row-friendly chunks the
-                // analytic-mode refinement streams, so both modes see
-                // an identical request stream; the access completes
-                // when its slowest chunk's data lands.
+                // The access completes when its slowest chunk's data
+                // lands.
                 let mut start_ns = f64::INFINITY;
                 let mut finish_ns = now;
-                for request in Self::chunks(now, &access) {
+                for request in chunks(now, addr, kind, bytes, chunk) {
                     let served = self.mem.service(request);
                     start_ns = start_ns.min(served.start_ns);
                     finish_ns = finish_ns.max(served.finish_ns);
                     self.requests += 1;
                 }
-                Self::complete(core, now, start_ns, finish_ns, ctx);
-            }
-            ChipEvent::DramDrain => {
-                self.latch.release();
-                let now = event.time.as_ns();
-                let batch = std::mem::take(&mut self.pending);
-                let mut requests = Vec::new();
-                let mut spans = Vec::with_capacity(batch.len());
-                for access in &batch {
-                    let from = requests.len();
-                    requests.extend(Self::chunks(now, access));
-                    spans.push((from, requests.len()));
-                }
-                self.requests += requests.len();
-                let served = self.mem.service_batch(&requests);
-                for (access, &(from, to)) in batch.iter().zip(&spans) {
-                    let mut start_ns = f64::INFINITY;
-                    let mut finish_ns = now;
-                    for chunk in &served[from..to] {
-                        start_ns = start_ns.min(chunk.start_ns);
-                        finish_ns = finish_ns.max(chunk.finish_ns);
-                    }
-                    Self::complete(access.core, now, start_ns, finish_ns, ctx);
-                }
+                let start_ns = if start_ns.is_finite() { start_ns } else { now };
+                ctx.schedule(
+                    SimTime::from_ns(finish_ns),
+                    core,
+                    ChipEvent::MemDone {
+                        wait_ns: (start_ns - now).max(0.0),
+                        busy_ns: finish_ns - start_ns.max(now),
+                    },
+                );
             }
             ChipEvent::Barrier => {}
             other => unreachable!("closed-loop dram received {other:?}"),

@@ -10,9 +10,10 @@
 //! Fig. 7 directly.
 //!
 //! Energy combines the `pim-arch` event energies with an optional
-//! DRAM-trace replay through `pim-dram` — mirroring the paper's
-//! "generate a memory trace from the scheduled instruction and feed it
-//! into DRAMsim3" methodology.
+//! in-line `pim-dram` controller that serves the chip's memory requests
+//! as the simulation issues them — the paper's "generate a memory trace
+//! from the scheduled instruction and feed it into DRAMsim3"
+//! methodology, without a second pass over a recorded trace.
 //!
 //! # Example
 //!

@@ -136,10 +136,10 @@ pub struct SimReport {
     pub makespan_ns: f64,
     /// Total energy (dynamic + chip static over the makespan).
     pub energy: PowerBreakdown,
-    /// Refined DRAM energy from replaying the generated memory trace
-    /// (present when DRAM replay is enabled).
+    /// Refined DRAM energy from the in-line LPDDR3 controller that
+    /// served the chip's memory requests (present when it is enabled).
     pub dram_energy: Option<DramEnergy>,
-    /// DRAM trace byte totals.
+    /// Request and byte totals of the chip's DRAM traffic.
     pub dram_trace: TraceStats,
     /// Per-channel DRAM counters (utilization, row hits, ...),
     /// present only in closed-loop timing mode.

@@ -135,7 +135,6 @@ pub struct SystemSimulator {
     mode: TimingMode,
     schedule: ScheduleMode,
     dram_channels: Option<usize>,
-    dram_reorder: bool,
     #[cfg(feature = "reference-queue")]
     reference_queue: bool,
 }
@@ -152,7 +151,6 @@ impl SystemSimulator {
             mode: TimingMode::Analytic,
             schedule: ScheduleMode::Barrier,
             dram_channels: None,
-            dram_reorder: false,
             #[cfg(feature = "reference-queue")]
             reference_queue: false,
         }
@@ -205,15 +203,6 @@ impl SystemSimulator {
     /// least one).
     pub fn with_dram_channels(mut self, channels: usize) -> Self {
         self.dram_channels = Some(channels.max(1));
-        self
-    }
-
-    /// Allows the closed-loop controllers to reorder same-instant
-    /// in-flight accesses from independent cores FR-FCFS style
-    /// (row-buffer hits first). Off by default: arrival-order service
-    /// is the documented closed-loop behaviour.
-    pub fn with_dram_reorder(mut self, enabled: bool) -> Self {
-        self.dram_reorder = enabled;
         self
     }
 
@@ -474,7 +463,6 @@ impl SystemSimulator {
                         ClosedLoopDram::new(
                             self.dram_channel_count_for(chip),
                             DEFAULT_INTERLEAVE_BYTES,
-                            self.dram_reorder,
                         ),
                     ),
                 }

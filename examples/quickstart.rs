@@ -40,7 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // 4. Run the compiled programs through the cycle-approximate chip
-    //    simulator (includes the DRAM-trace replay).
+    //    simulator (includes the in-line DRAM energy model).
     let report = ChipSimulator::new(chip).run(compiled.programs(), 8)?;
     println!("\nsimulated: {report}");
     println!(

@@ -81,7 +81,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         report.latency_ms()
     );
     if let Some(dram) = report.dram_energy {
-        println!("DRAM (trace replay): {dram}");
+        println!("DRAM (in-line model): {dram}");
     }
     Ok(())
 }

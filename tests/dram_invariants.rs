@@ -2,8 +2,8 @@
 //! implemented as deterministic seeded sweeps (the offline environment
 //! has no proptest), like `tests/invariants.rs`:
 //!
-//! 1. every issued request is serviced exactly once (bytes conserve
-//!    piece-by-piece),
+//! 1. every issued request is serviced exactly once (each stripe once,
+//!    bytes conserve piece-by-piece),
 //! 2. per-channel service order follows issue order (non-decreasing
 //!    service windows on the immediate path),
 //! 3. channel counts 1/2/4 conserve total bytes.
@@ -45,25 +45,27 @@ fn every_request_is_serviced_exactly_once() {
         let stream = random_stream(&mut rng);
         for channels in CHANNEL_COUNTS {
             let mut mem = MultiChannelDram::new(DramConfig::lpddr3_1600(), channels, 4096).unwrap();
+            let il = mem.interleave_bytes() as u64;
             let mut expected_pieces = 0usize;
             for req in &stream {
                 // A block covers ceil span over interleave-aligned
-                // stripes; count what enqueue must split it into.
-                let il = mem.interleave_bytes() as u64;
-                let first = req.addr / il;
-                let last = (req.addr + req.bytes as u64 - 1) / il;
-                expected_pieces += (last - first + 1) as usize;
-                mem.enqueue(*req);
+                // stripes; count what the router must split it into.
+                let pieces = ((req.addr + req.bytes as u64 - 1) / il - req.addr / il + 1) as usize;
+                expected_pieces += pieces;
+                let access = mem.service(*req);
+                assert_eq!(access.stripes, pieces, "each stripe serviced exactly once");
+                assert!(access.start_ns >= req.issue_ns - 1e-9);
+                assert!(access.finish_ns >= access.start_ns);
             }
-            let done = mem.run_to_completion();
-            assert_eq!(done.len(), expected_pieces, "each stripe serviced exactly once");
-            let total: usize = done.iter().map(|c| c.bytes).sum();
+            let stats = mem.channel_stats();
+            let served: u64 = stats.iter().map(|s| s.requests).sum();
+            assert_eq!(served as usize, expected_pieces, "no stripe served twice");
+            let total: u64 = stats.iter().map(ChannelStats::total_bytes).sum();
             let issued: usize = stream.iter().map(|r| r.bytes).sum();
-            assert_eq!(total, issued, "no stripe lost or duplicated ({channels} channels)");
-            for c in &done {
-                assert!(c.finish_ns >= c.start_ns);
-                assert!(c.start_ns >= c.issue_ns);
-            }
+            assert_eq!(
+                total as usize, issued,
+                "no stripe lost or duplicated ({channels} channels)"
+            );
         }
     }
 }
@@ -141,9 +143,8 @@ fn channel_counts_conserve_total_bytes() {
         for channels in CHANNEL_COUNTS {
             let mut mem = MultiChannelDram::new(DramConfig::lpddr3_1600(), channels, 4096).unwrap();
             for req in &stream {
-                mem.enqueue(*req);
+                mem.service(*req);
             }
-            mem.run_to_completion();
             let stats = mem.channel_stats();
             let total: u64 = stats.iter().map(ChannelStats::total_bytes).sum();
             assert_eq!(total, issued, "{channels} channels must move every byte exactly once");
@@ -156,41 +157,6 @@ fn channel_counts_conserve_total_bytes() {
         // More channels never make the same stream slower.
         for pair in makespans.windows(2) {
             assert!(pair[1] <= pair[0] + 1e-6, "extra channels slowed the stream: {makespans:?}");
-        }
-    }
-}
-
-#[test]
-fn fr_fcfs_batches_conserve_bytes_and_stay_deterministic() {
-    // The reorder path (`service_batch`) may overtake arrival order
-    // for row hits, but it must still serve every stripe exactly
-    // once, never before its issue time, and bit-identically run to
-    // run.
-    let mut rng = StdRng::seed_from_u64(0xFCF5);
-    for _ in 0..CASES {
-        let stream = random_stream(&mut rng);
-        // Same-instant batch: strip the issue stagger, as the chip
-        // simulator's drain latch does.
-        let batch: Vec<Request> =
-            stream.iter().map(|r| Request::at_ns(0.0, r.addr, r.kind, r.bytes)).collect();
-        for channels in CHANNEL_COUNTS {
-            let run = || {
-                let mut mem =
-                    MultiChannelDram::new(DramConfig::lpddr3_1600(), channels, 4096).unwrap();
-                let accesses = mem.service_batch(&batch);
-                (accesses, mem.channel_stats())
-            };
-            let (accesses, stats) = run();
-            assert_eq!(run(), (accesses.clone(), stats.clone()), "reorder must be deterministic");
-            assert_eq!(accesses.len(), batch.len());
-            for (req, access) in batch.iter().zip(&accesses) {
-                assert!(access.start_ns >= req.issue_ns, "no service before issue");
-                assert!(access.finish_ns >= access.start_ns);
-                assert!(access.stripes > 0 || req.bytes == 0);
-            }
-            let issued: u64 = batch.iter().map(|r| r.bytes as u64).sum();
-            let served: u64 = stats.iter().map(ChannelStats::total_bytes).sum();
-            assert_eq!(served, issued, "reorder must conserve bytes ({channels} channels)");
         }
     }
 }

@@ -12,7 +12,6 @@
 //!   topologies (`single`, `ring:2`) — the four env matrix legs,
 //! * the interleaved schedule mode (multi-stage in flight, mid-run
 //!   `add_component` core spawns with same-instant follow-up events),
-//! * FR-FCFS DRAM reordering (same-instant service-order sensitivity),
 //! * multi-chip hand-off chains (ring:2, ring:4, fc:4 × timing ×
 //!   schedule, plus a DRAM-replay-off leg) and lopsided multi-chip
 //!   loads: skewed link latencies, equal-instant link contention,
@@ -105,25 +104,6 @@ fn interleaved_schedule_reports_are_byte_identical() {
         let b = chip_report(timing, ScheduleMode::Interleaved, true);
         assert_eq!(a, b, "calendar vs reference queue (interleaved, {timing})");
     }
-}
-
-#[test]
-fn dram_reorder_reports_are_byte_identical() {
-    // FR-FCFS reordering groups same-instant accesses: the service
-    // order depends directly on the queue's same-instant FIFO
-    // guarantee.
-    let run = |reference: bool| {
-        let compiled = compiled_programs(4);
-        let report = ChipSimulator::new(ChipSpec::chip_s())
-            .with_timing_mode(TimingMode::ClosedLoop)
-            .with_dram_channels(2)
-            .with_dram_reorder(true)
-            .with_reference_queue(reference)
-            .run(compiled.programs(), 4)
-            .expect("simulates");
-        serde_json::to_string(&report).expect("serializes")
-    };
-    assert_eq!(run(false), run(true), "calendar vs reference queue (FR-FCFS)");
 }
 
 /// `waves` MVM waves on four cores of a `cores`-core chip.
